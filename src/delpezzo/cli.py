@@ -10,6 +10,7 @@ as JSON with --json; exit code 0 means success or a verdict was produced,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -203,7 +204,10 @@ def _cmd_degenerations(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call; parse_args leaves it unchanged and returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the hypersurface coefficient draw")

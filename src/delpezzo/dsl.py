@@ -291,9 +291,16 @@ def _parse_fraction(tok: str, line: int) -> Fraction:
         raise InstanceFormatError(f"line {line}: bad rational {tok!r}") from None
 
 
+def _parse_int(tok: str, line: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InstanceFormatError(f"line {line}: bad integer {tok!r}") from None
+
+
 def parse_instance(text: str):
     """Parse a .hyp file into (space, degree, nodes, coefficients or None)."""
-    weights = degree = None
+    space = degree = None
     nodes: list[tuple[Fraction, ...]] = []
     coeffs: list[Fraction] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -302,11 +309,17 @@ def parse_instance(text: str):
             continue
         key, rest = parts[0], parts[1:]
         if key == "weights":
-            weights = tuple(int(w) for w in rest)
+            weights = tuple(_parse_int(w, lineno) for w in rest)
+            try:
+                space = WeightedSpace(weights)
+            except ValueError as exc:
+                raise InstanceFormatError(f"line {lineno}: {exc}") from None
         elif key == "degree":
             if len(rest) != 1:
                 raise InstanceFormatError(f"line {lineno}: degree takes one value")
-            degree = int(rest[0])
+            degree = _parse_int(rest[0], lineno)
+            if degree < 0:
+                raise InstanceFormatError(f"line {lineno}: degree must be nonnegative")
         elif key == "node":
             nodes.append(tuple(_parse_fraction(t, lineno) for t in rest))
         elif key == "coeffs":
@@ -314,9 +327,8 @@ def parse_instance(text: str):
         else:
             raise InstanceFormatError(
                 f"line {lineno}: expected weights, degree, node or coeffs")
-    if weights is None or degree is None:
+    if space is None or degree is None:
         raise InstanceFormatError("instance needs 'weights' and 'degree' lines")
-    space = WeightedSpace(weights)
     n = len(space.weights)
     for p in nodes:
         if len(p) != n:

@@ -1,10 +1,13 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
-Everything is computed over Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point appears anywhere in this module.
-The matrices that show up downstream (node evaluation matrices, divisor
-rewrite maps, Hessians) are tiny, so the elementary algorithms below are
-the right tool: correctness is the only requirement.
+No floating point appears anywhere in this module.  Ranks, rational
+kernels and inverses come from one fraction-free Gauss-Jordan routine,
+``_eliminate`` (Bareiss, Math. Comp. 22, 1968), on integer rows; rational
+input is cleared of denominators row by row first.  Each pivot step sets
+every other row to ``(p * row - row[c] * pivot_row) // d``, p the new pivot
+and d the previous one.  Every such division is exact (Sylvester's
+identity), so entries stay integer minors and no gcd is taken per cell.
+The final rows divided by the last pivot are the reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     for row in rows:
         fr = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        cleared.append([int(f * mult) for f in fr])
+        cleared.append([f.numerator * (mult // f.denominator) for f in fr])
     return IntMatrix.from_rows(cleared)
 
 
@@ -137,34 +140,31 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(tuple(diag), sum(1 for d in diag if d))
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan over the rationals; returns (reduced rows, pivot columns)."""
-    a = [list(r) for r in rows]
+def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan, in place; returns (rows, pivot columns, d)
+    with rows / d the reduced row echelon form (d = 1 without pivots)."""
     nr = len(a)
     nc = len(a[0]) if a else 0
     pivots: list[int] = []
-    r = 0
+    d = 1
     for c in range(nc):
-        row = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        r = len(pivots)
+        row = next((i for i in range(r, nr) if a[i][c]), None)
         if row is None:
             continue
         a[r], a[row] = a[row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        top, p = a[r], a[r][c]
         for i in range(nr):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], top)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
+    return a, pivots, d
 
 
 def rank(m: IntMatrix) -> int:
-    reduced, pivots = _row_reduce([[Fraction(x) for x in row] for row in m.to_rows()])
-    return len(pivots)
+    return len(_eliminate(m.to_rows())[1])
 
 
 def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
@@ -176,14 +176,13 @@ def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     nc = m.cols
     if m.rows == 0:
         return [tuple(Fraction(int(i == j)) for j in range(nc)) for i in range(nc)]
-    reduced, pivots = _row_reduce([[Fraction(x) for x in row] for row in m.to_rows()])
-    free = [c for c in range(nc) if c not in pivots]
+    rows, pivots, d = _eliminate(m.to_rows())
     basis = []
-    for f in free:
+    for f in (c for c in range(nc) if c not in pivots):
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][f]
+            v[pc] = Fraction(-rows[r][f], d)
         basis.append(tuple(v))
     return basis
 
@@ -193,9 +192,9 @@ def invert_rational(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fract
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    reduced, pivots = _row_reduce(aug)
+    aug = from_rational_rows([list(row) + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(rows)]).to_rows()
+    reduced, pivots, d = _eliminate(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [[Fraction(x, d) for x in row[n:]] for row in reduced]

@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they check: monomial counting by
 raw exponent search, Smith invariants through minor gcds, determinants by
-Laplace expansion, and quiver dimensions by a forbidden-factor automaton.
+Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
+``Fraction``, and quiver dimensions by a forbidden-factor automaton.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 
@@ -56,6 +58,68 @@ def smith_diagonal_from_minors(rows):
         else:
             diag.append(gcds[k] // gcds[k - 1])
     return tuple(diag)
+
+
+def fraction_row_reduce(rows):
+    """Gauss-Jordan over the rationals; returns (reduced rows, pivot columns).
+
+    The reference for ``lattice``'s fraction-free kernel: every cell update
+    is a ``Fraction`` operation, so the reduced row echelon form comes out
+    directly, with no common denominator.
+    """
+    a = [[Fraction(x) for x in r] for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        row = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if row is None:
+            continue
+        a[r], a[row] = a[row], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, pivots
+
+
+def fraction_rank(rows):
+    return len(fraction_row_reduce(rows)[1])
+
+
+def fraction_nullspace(rows, ncols):
+    """Kernel basis read off the reduced rows: one vector per free column,
+    1 there, minus the reduced entries at the pivot columns."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(ncols))
+                for i in range(ncols)]
+    reduced, pivots = fraction_row_reduce(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_inverse(rows):
+    """Inverse by reducing [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    reduced, pivots = fraction_row_reduce(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
 
 
 def transfer_dimension(vertices, arrows, relations, cap=64):

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from delpezzo.cli import main
+import pytest
+
+import delpezzo
+from delpezzo.cli import build_parser, main
 from delpezzo.dsl import render_instance, render_script, load_builtin_script
 from delpezzo.wps import WeightedSpace, build_nodal_hypersurface
 
@@ -131,6 +138,25 @@ def test_defect_rejects_singular_node(tmp_path, capsys):
     assert "NodeAtAmbientSingularity" in err
 
 
+@pytest.mark.parametrize("body", [
+    "weights 1 1 x\ndegree 3\n",
+    "weights 2 2\ndegree 4\n",
+    "weights 1 1 1 1 0\ndegree 3\n",
+    "weights 1 1 1 1 1\ndegree x\n",
+    "weights 1 1 1 1 1\ndegree -1\n",
+])
+def test_defect_malformed_instance_is_an_input_fault(tmp_path, body):
+    inst = tmp_path / "bad.hyp"
+    inst.write_text(body)
+    env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "delpezzo", "defect", str(inst)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "InstanceFormatError" in proc.stderr
+    assert "line " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_quiver_subcommand(capsys):
     code, out, _ = run(capsys, "quiver", "single-burban", "--json")
     assert code == 0
@@ -187,3 +213,16 @@ def test_reports_are_deterministic(tmp_path, capsys):
     _, replay1, _ = run(capsys, "replay", "prop-Y-to-V")
     _, replay2, _ = run(capsys, "replay", "prop-Y-to-V")
     assert replay1 == replay2
+
+
+def test_parser_is_shared_but_calls_are_independent(capsys):
+    assert build_parser() is build_parser()
+    calls = [("gate", "--json", "d=5", "nodes=2"), ("catalog", "5"),
+             ("intersect", "d=4", "(H-E)^3", "--json"), ("gate", "d=5", "nodes=2")]
+    first = [run(capsys, *argv) for argv in calls]
+    again = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert first == again
+    assert json.loads(first[0][1])["exists"] is True
+    assert first[3][1].startswith("d=5, nodes=2:")
+    assert json.loads(first[2][1])["value"] == 1
+    assert not first[1][1].lstrip().startswith("{")

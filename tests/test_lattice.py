@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.lattice import (IntMatrix, from_rational_rows, invert_rational,
-                              rank, rational_nullspace, smith_normal_form)
-from oracles import smith_diagonal_from_minors
+from delpezzo.lattice import (IntMatrix, _eliminate, from_rational_rows,
+                              invert_rational, rank, rational_nullspace,
+                              smith_normal_form)
+from oracles import (det_int, fraction_inverse, fraction_nullspace,
+                     fraction_rank, smith_diagonal_from_minors)
 
 matrices = st.integers(1, 8).flatmap(
     lambda nr: st.integers(1, 8).flatmap(
@@ -129,3 +131,87 @@ def test_invert_rational_round_trip():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         invert_rational([[1, 2], [2, 4]])
+
+
+# -- the fraction-free kernel against Gauss-Jordan over Fraction --------------
+
+small_ints = st.integers(-9, 9)
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def deficient_rows(draw, entries, square=False):
+    """(rows, cols) of a product of an nr x k and a k x nc matrix with
+    k <= min(nr, nc), so usually rank deficient, with some columns zeroed.
+    Zero rows are allowed."""
+    nr = draw(st.integers(0, 7))
+    nc = nr if square else draw(st.integers(0, 7))
+    k = draw(st.integers(0, min(nr, nc)))
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                         min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                          min_size=k, max_size=k))
+    zeroed = draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=nc))
+    rows = [[0 if j in zeroed else sum(a * right[t][j] for t, a in enumerate(row))
+             for j in range(nc)] for row in left]
+    return rows, nc
+
+
+def _int_matrix(rows, nc):
+    return IntMatrix(len(rows), nc, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=300)
+@given(deficient_rows(small_ints))
+def test_integer_kernel_matches_fraction_reference(case):
+    rows, nc = case
+    m = _int_matrix(rows, nc)
+    assert rank(m) == fraction_rank(rows)
+    assert rational_nullspace(m) == fraction_nullspace(rows, nc)
+
+
+@settings(max_examples=300)
+@given(deficient_rows(small_fractions))
+def test_rational_kernel_matches_fraction_reference(case):
+    rows, nc = case
+    assume(rows)
+    m = from_rational_rows(rows)
+    assert rank(m) == fraction_rank(rows)
+    assert rational_nullspace(m) == fraction_nullspace(rows, nc)
+
+
+@settings(max_examples=200)
+@given(st.one_of(
+    deficient_rows(small_fractions, square=True),
+    st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                 min_size=n, max_size=n), st.just(n)))))
+def test_invert_matches_fraction_reference(case):
+    rows, _ = case
+    expected = fraction_inverse(rows)
+    if expected is None:
+        with pytest.raises(ValueError):
+            invert_rational(rows)
+    else:
+        assert invert_rational(rows) == expected
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_last_pivot_is_the_determinant(rows):
+    det = det_int(rows)
+    _, pivots, d = _eliminate([list(row) for row in rows])
+    assert (len(pivots) == len(rows)) == (det != 0)
+    if det:
+        assert abs(d) == abs(det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deficient_rows(small_ints))
+def test_rank_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    rows, nc = case
+    expected = sympy.Matrix(len(rows), nc, [x for row in rows for x in row]).rank()
+    assert rank(_int_matrix(rows, nc)) == expected
