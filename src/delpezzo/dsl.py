@@ -354,9 +354,12 @@ def render_instance(hyp: NodalHypersurface) -> str:
 
 def parse_quiver(text: str) -> Quiver:
     """Quiver file: 'vertices ...', 'arrow <name> <src> <dst>' and
-    'relation <arrow names...>' lines."""
+    'relation <arrow names...>' lines.  Duplicate vertices, duplicate arrow
+    names and arrow endpoints that no 'vertices' line declares are format
+    errors naming their line."""
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
+    arrow_lines: dict[str, int] = {}
     relations: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = _strip_comment(raw).split()
@@ -364,11 +367,19 @@ def parse_quiver(text: str) -> Quiver:
             continue
         key, rest = parts[0], parts[1:]
         if key == "vertices":
-            vertices.extend(rest)
+            for v in rest:
+                if v in vertices:
+                    raise InstanceFormatError(
+                        f"line {lineno}: duplicate vertex {v!r}")
+                vertices.append(v)
         elif key == "arrow":
             if len(rest) != 3:
                 raise InstanceFormatError(
                     f"line {lineno}: arrow takes name, source, target")
+            if rest[0] in arrow_lines:
+                raise InstanceFormatError(
+                    f"line {lineno}: duplicate arrow name {rest[0]!r}")
+            arrow_lines[rest[0]] = lineno
             arrows.append((rest[1], rest[2], rest[0]))
         elif key == "relation":
             if not rest:
@@ -379,6 +390,12 @@ def parse_quiver(text: str) -> Quiver:
                 f"line {lineno}: expected vertices, arrow or relation")
     if not vertices:
         raise InstanceFormatError("quiver needs a 'vertices' line")
+    for s, t, name in arrows:
+        for end in (s, t):
+            if end not in vertices:
+                raise InstanceFormatError(
+                    f"line {arrow_lines[name]}: arrow {name!r} ends at "
+                    f"{end!r}, which is not a declared vertex")
     return Quiver.build(vertices, arrows, relations)
 
 

@@ -5,6 +5,15 @@ quiver below, "a b" is the path 1 -> 2 -> 3.  Only monomial relations are
 supported; a path is zero exactly when some relation occurs in it as a
 contiguous subword.
 
+Nonzero paths are the walks of a forbidden-factor automaton.  A state is
+(vertex, last m arrow names), m one less than the longest relation, and a
+move appends an outgoing arrow unless a relation is then a suffix of the
+recent arrows.  By Ufnarovski's criterion (V. A. Ufnarovskii, "A growth
+criterion for graphs and algebras defined by words", Math. Notes 31, 1982)
+the algebra is infinite dimensional exactly when a cycle of this finite
+automaton is reachable from some (vertex, ()) start, so finiteness is
+decided before any path is listed.
+
 The two built-in quivers model the residual components that appear for
 nodal degenerations: a pair of vertices with back-and-forth arrows whose
 length-2 round trips vanish (dimension 4), and its three-vertex chain
@@ -69,14 +78,8 @@ class PathAlgebraReport:
     k0_rank: int
 
 
-@dataclass(frozen=True)
-class _Path:
-    source: str
-    target: str
-    word: tuple[str, ...]
-
-    def text(self) -> str:
-        return f"e_{self.source}" if not self.word else ".".join(self.word)
+State = tuple[str, tuple[str, ...]]  # (vertex, last m arrow names)
+Move = tuple[str, State]               # (arrow name, next state)
 
 
 def _arrow_map(q: Quiver) -> dict[str, Arrow]:
@@ -97,82 +100,98 @@ def _check_relations(q: Quiver) -> None:
                     f"relation word {' '.join(word)} is not composable")
 
 
-def _has_relation_suffix(word: tuple[str, ...], relations) -> bool:
-    return any(len(r) <= len(word) and word[-len(r):] == r for r in relations)
-
-
 def k0_rank(q: Quiver) -> int:
     """Vertex count: rank of K_0 of a finite-dimensional basic algebra."""
     return len(q.vertices)
 
 
-def path_basis(q: Quiver) -> PathAlgebraReport:
-    """Enumerate nonzero paths by increasing length.
+def _automaton(q: Quiver) -> dict[State, list[Move]] | None:
+    """Moves of the reachable forbidden-factor automaton, or None when a
+    cycle is reachable.
 
-    Words are pruned as soon as a relation appears as a contiguous subword
-    (checking suffixes suffices since shorter prefixes already survived).
-    If survivors persist past length |vertices| x |arrows| + 1 and a
-    surviving word revisits a (vertex, recent-arrows) state, the repeated
-    loop pumps to arbitrarily long nonzero paths and the algebra is
-    declared infinite dimensional.
+    States are discovered by an iterative three-colour depth-first search
+    from every (vertex, ()) start (unseen: not in the table; grey: on the
+    stack; black: finished).  Meeting a grey state closes a cycle.  The
+    search keeps its own stack, so deep automata do not reach Python's
+    recursion limit.
+    """
+    outgoing: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
+    for s, t, name in q.arrows:
+        outgoing[s].append((name, t))
+    lengths = {len(w) for w in q.relations}
+    memory = max(lengths, default=1) - 1
+
+    def moves_from(state: State) -> list[Move]:
+        vertex, recent = state
+        moves = []
+        for name, t in outgoing[vertex]:
+            word = recent + (name,)
+            if not any(word[-k:] in q.relations for k in lengths):
+                moves.append((name, (t, word[-memory:] if memory else ())))
+        return moves
+
+    table: dict[State, list[Move]] = {}
+    on_stack: set[State] = set()
+    for v in q.vertices:
+        start = (v, ())
+        if start in table:
+            continue
+        table[start] = moves_from(start)
+        on_stack.add(start)
+        stack = [(start, iter(table[start]))]
+        while stack:
+            state, pending = stack[-1]
+            move = next(pending, None)
+            if move is None:
+                on_stack.discard(state)
+                stack.pop()
+                continue
+            nxt = move[1]
+            if nxt in on_stack:
+                return None
+            if nxt not in table:
+                table[nxt] = moves_from(nxt)
+                on_stack.add(nxt)
+                stack.append((nxt, iter(table[nxt])))
+    return table
+
+
+def path_basis(q: Quiver) -> PathAlgebraReport:
+    """Decide finiteness on the forbidden-factor automaton, then list paths.
+
+    A reachable cycle of the automaton pumps to arbitrarily long nonzero
+    paths, so the report is infinite (dimension None) without listing any.
+    Otherwise every walk ends, and the nonzero paths are enumerated by
+    increasing length, each carrying its automaton state so that extending
+    it is a lookup in the move table.  The basis is sorted by length, then
+    word, then source vertex.
     """
     _check_relations(q)
-    arrows = _arrow_map(q)
-    max_rel = max((len(w) for w in q.relations), default=1)
-    memory = max(max_rel - 1, 0)
-    floor_bound = len(q.vertices) * max(len(q.arrows), 1) + 1
+    table = _automaton(q)
+    if table is None:
+        return PathAlgebraReport(None, (), None, k0_rank(q))
 
-    survivors = [_Path(v, v, ()) for v in q.vertices]
-    basis: list[_Path] = list(survivors)
-    length = 0
-    while survivors:
-        length += 1
-        nxt = []
-        for p in survivors:
-            for s, t, name in q.arrows:
-                if s != p.target:
-                    continue
-                word = p.word + (name,)
-                if _has_relation_suffix(word, q.relations):
-                    continue
-                nxt.append(_Path(p.source, t, word))
-        survivors = nxt
-        if survivors and length >= floor_bound:
-            for p in survivors:
-                if _repeatable_cycle(p, arrows, memory):
-                    return PathAlgebraReport(None, (), None, k0_rank(q))
-        basis.extend(survivors)
+    level = [(v, (), (v, ())) for v in q.vertices]
+    basis: list[tuple[str, tuple[str, ...], State]] = []
+    while level:
+        basis.extend(level)
+        level = [(source, word + (name,), nxt)
+                 for source, word, state in level
+                 for name, nxt in table[state]]
 
-    basis.sort(key=lambda p: (len(p.word), p.word, p.source))
+    basis.sort(key=lambda p: (len(p[1]), p[1], p[0]))
     index = {v: i for i, v in enumerate(q.vertices)}
     n = len(q.vertices)
     cartan = [[0] * n for _ in range(n)]
-    for p in basis:
-        cartan[index[p.source]][index[p.target]] += 1
+    for source, _, (target, _) in basis:
+        cartan[index[source]][index[target]] += 1
     return PathAlgebraReport(
         dimension=len(basis),
-        basis=tuple(p.text() for p in basis),
+        basis=tuple(".".join(word) if word else f"e_{source}"
+                    for source, word, _ in basis),
         cartan=tuple(tuple(row) for row in cartan),
         k0_rank=k0_rank(q),
     )
-
-
-def _repeatable_cycle(p: _Path, arrows: dict[str, Arrow], memory: int) -> bool:
-    # state after step t: (current vertex, last `memory` arrow names); a
-    # repeated state bounds a loop whose powers stay relation free, because
-    # every forbidden-factor window of the pumped word already occurs in p
-    states = []
-    vertex = p.source
-    recent: tuple[str, ...] = ()
-    states.append((vertex, recent))
-    for name in p.word:
-        vertex = arrows[name][1]
-        recent = (recent + (name,))[-memory:] if memory else ()
-        state = (vertex, recent)
-        if state in states:
-            return True
-        states.append(state)
-    return False
 
 
 def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:

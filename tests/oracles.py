@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: monomial counting by
 raw exponent search, Smith invariants through minor gcds, determinants by
 Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
-``Fraction``, and quiver dimensions by a forbidden-factor automaton.
+``Fraction``, quiver dimensions by a forbidden-factor automaton walk and
+quiver bases by a brute-force search of composable words.
 """
 
 from __future__ import annotations
@@ -122,12 +123,14 @@ def fraction_inverse(rows):
     return [row[n:] for row in reduced]
 
 
-def transfer_dimension(vertices, arrows, relations, cap=64):
+def transfer_dimension(vertices, arrows, relations):
     """Path algebra dimension by a forbidden-factor automaton walk.
 
     States are (vertex, recent arrow names); weights count surviving words
-    per length.  Returns None when the reachable transition graph can feed
-    itself past the cap (infinite dimensional), else the total count.
+    per length.  A walk of length L passes L + 1 states, so once a walk is
+    longer than the number of distinct states reached so far some state
+    repeats and pumps: the algebra is infinite (None).  Otherwise the walks
+    die out and the total count is returned.
     """
     relations = {tuple(r) for r in relations}
     memory = max((len(r) for r in relations), default=1) - 1
@@ -144,16 +147,43 @@ def transfer_dimension(vertices, arrows, relations, cap=64):
         return (dst, word[-memory:] if memory else ())
 
     weights = {(v, ()): 1 for v in vertices}
+    seen = set(weights)
     total = sum(weights.values())
-    for _ in range(cap):
+    length = 0
+    while weights:
+        length += 1
         nxt = {}
         for state, w in weights.items():
             for name in by_name:
                 out = step(state, name)
                 if out is not None:
                     nxt[out] = nxt.get(out, 0) + w
-        if not nxt:
-            return total
+        seen.update(nxt)
+        if nxt and length >= len(seen):
+            return None
         total += sum(nxt.values())
         weights = nxt
-    return None
+    return total
+
+
+def nonzero_words(vertices, arrows, relations):
+    """Basis texts of a finite monomial path algebra by brute force.
+
+    Grows composable words one arrow at a time and keeps those in which no
+    relation occurs anywhere as a contiguous factor; every factor of every
+    word is scanned.  Loops forever on an infinite algebra.
+    """
+    relations = [tuple(r) for r in relations]
+
+    def clean(word):
+        return not any(word[i:i + len(r)] == r for r in relations
+                       for i in range(len(word) - len(r) + 1))
+
+    texts = {f"e_{v}" for v in vertices}
+    words = [((name,), t) for s, t, name in arrows if clean((name,))]
+    while words:
+        texts.update(".".join(word) for word, _ in words)
+        words = [(word + (name,), t) for word, end in words
+                 for s, t, name in arrows
+                 if s == end and clean(word + (name,))]
+    return texts

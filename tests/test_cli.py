@@ -18,6 +18,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, timeout=60):
+    """`python -m delpezzo <argv>` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "delpezzo", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_gate_subcommand(capsys):
     code, out, _ = run(capsys, "gate", "d=5", "nodes=2")
     assert code == 0
@@ -148,9 +155,7 @@ def test_defect_rejects_singular_node(tmp_path, capsys):
 def test_defect_malformed_instance_is_an_input_fault(tmp_path, body):
     inst = tmp_path / "bad.hyp"
     inst.write_text(body)
-    env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "delpezzo", "defect", str(inst)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_module("defect", str(inst))
     assert proc.returncode == 2
     assert "InstanceFormatError" in proc.stderr
     assert "line " in proc.stderr
@@ -172,6 +177,33 @@ def test_quiver_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "quiver", str(qf), "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 2
+
+
+@pytest.mark.parametrize("body, line", [
+    ("vertices 1 1\n", "line 1"),
+    ("vertices 1 2\narrow a 1 2\narrow a 2 1\n", "line 3"),
+    ("vertices 1\narrow a 1 9\n", "line 2"),
+])
+def test_quiver_malformed_file_is_an_input_fault(tmp_path, body, line):
+    qf = tmp_path / "bad.quiver"
+    qf.write_text(body)
+    proc = run_module("quiver", str(qf))
+    assert proc.returncode == 2
+    assert "InstanceFormatError" in proc.stderr
+    assert line in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quiver_complete_graph_is_infinite_at_once(tmp_path, n):
+    vertices = [str(i) for i in range(1, n + 1)]
+    lines = ["vertices " + " ".join(vertices)]
+    lines += [f"arrow a{s}{t} {s} {t}" for s in vertices for t in vertices if s != t]
+    qf = tmp_path / f"complete-{n}.quiver"
+    qf.write_text("\n".join(lines) + "\n")
+    proc = run_module("quiver", str(qf), "--json", timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dimension"] is None
 
 
 def test_quiver_unknown_name(capsys):

@@ -8,7 +8,7 @@ from delpezzo.dsl import (builtin_script_names, load_builtin_script,
                           render_instance, render_script)
 from delpezzo.errors import InstanceFormatError, ScriptSyntaxError
 from delpezzo.intersection import BASIS_hD, he, hd
-from delpezzo.quivers import path_basis
+from delpezzo.quivers import Quiver, path_basis
 from delpezzo.sod import LineBundle, Opaque, TwistedStructureSheaf
 from delpezzo.wps import WeightedSpace, build_nodal_hypersurface
 
@@ -124,6 +124,19 @@ def test_parse_quiver_file():
     assert path_basis(q).dimension == 4
     with pytest.raises(InstanceFormatError):
         parse_quiver("arrow a 1 2\n")
+
+
+@pytest.mark.parametrize("text, arrows", [
+    ("vertices 1 1\n", []),
+    ("vertices 1 2\narrow a 1 2\narrow a 2 1\n", [("1", "2", "a"), ("2", "1", "a")]),
+    ("vertices 1\narrow a 1 9\n", [("1", "9", "a")]),
+])
+def test_parse_quiver_rejects_what_quiver_rejects(text, arrows):
+    with pytest.raises(InstanceFormatError, match="line "):
+        parse_quiver(text)
+    vertices = text.splitlines()[0].split()[1:]
+    with pytest.raises(ValueError):
+        Quiver.build(vertices, arrows)
 
 
 def test_parse_intersection_expr():

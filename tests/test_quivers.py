@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo.errors import InfiniteDimensional, MalformedRelation
 from delpezzo.quivers import (Quiver, cartan_matrix, double_burban, k0_rank,
                               path_basis, single_burban)
-from oracles import transfer_dimension
+from oracles import nonzero_words, transfer_dimension
 
 
 def test_single_burban_dimension():
@@ -138,3 +140,43 @@ def test_random_monomial_quivers_match_oracle():
             transfer_dimension(q.vertices, q.arrows, q.relations)
         if report.dimension is not None:
             assert report.dimension == sum(sum(row) for row in report.cartan)
+
+
+def test_long_linear_quiver_is_finite():
+    # A_70 without relations: one path per pair i <= j, longest has 69 arrows
+    n = 70
+    q = Quiver.build([str(i) for i in range(n)],
+                     [(str(i), str(i + 1), f"a{i}") for i in range(n - 1)])
+    assert path_basis(q).dimension == n * (n + 1) // 2 == 2485
+    assert transfer_dimension(q.vertices, q.arrows, q.relations) == 2485
+
+
+@st.composite
+def monomial_quivers(draw):
+    vertices = [str(i) for i in range(1, draw(st.integers(1, 4)) + 1)]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = [(s, t, f"a{k}") for k, (s, t) in
+              enumerate(draw(st.lists(ends, max_size=6)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 4)) if arrows else 0):
+        word = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(0, 3))):
+            options = [a for a in arrows if a[0] == word[-1][1]]
+            if not options:
+                break
+            word.append(draw(st.sampled_from(options)))
+        relations.append(tuple(a[2] for a in word))
+    return Quiver.build(vertices, arrows, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_quivers())
+def test_path_basis_matches_oracles(q):
+    report = path_basis(q)
+    assert report.dimension == \
+        transfer_dimension(q.vertices, q.arrows, q.relations)
+    if report.dimension is not None:
+        assert set(report.basis) == \
+            nonzero_words(q.vertices, q.arrows, q.relations)
+        assert len(report.basis) == report.dimension
+        assert sum(map(sum, report.cartan)) == report.dimension
