@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from . import dsl, ktheory, quivers, wps
-from .errors import InstanceFormatError, ToolError
+from .errors import InstanceFormatError, ToolError, UndecodableInput
 from .intersection import BlowupGeometry, triple
 from .mutations import replay
 from .sod import DISPLAY_NAMES, FactStore, Opaque, node_text
@@ -63,8 +63,18 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
     return out
 
 
+def _read_input(path: Path) -> str:
+    """Text of an input file; bytes that are not UTF-8 are an input fault
+    naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(
+            f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _cmd_defect(args) -> int:
-    text = Path(args.instance).read_text()
+    text = _read_input(Path(args.instance))
     space, degree, nodes, coeffs = dsl.parse_instance(text)
     if coeffs is not None:
         hyp = wps.NodalHypersurface.checked(space, degree, coeffs, nodes)
@@ -85,7 +95,7 @@ def _cmd_defect(args) -> int:
 def _resolve_script(name: str):
     path = Path(name)
     if path.is_file():
-        return dsl.parse_script(path.read_text(), name=path.stem)
+        return dsl.parse_script(_read_input(path), name=path.stem)
     return dsl.load_builtin_script(name)
 
 
@@ -135,7 +145,7 @@ def _cmd_quiver(args) -> int:
     if args.quiver in _BUILTIN_QUIVERS:
         q = _BUILTIN_QUIVERS[args.quiver]()
     elif Path(args.quiver).is_file():
-        q = dsl.parse_quiver(Path(args.quiver).read_text())
+        q = dsl.parse_quiver(_read_input(Path(args.quiver)))
     else:
         raise InstanceFormatError(
             f"{args.quiver!r} is neither a file nor one of: "

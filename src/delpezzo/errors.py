@@ -167,3 +167,8 @@ class ScriptSyntaxError(InputFault):
 
 class InstanceFormatError(InputFault):
     code = 71
+
+
+class UndecodableInput(InputFault):
+    """An input file whose bytes are not UTF-8 text."""
+    code = 72

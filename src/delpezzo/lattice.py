@@ -55,9 +55,8 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     """Clear denominators row by row; rank and kernel are unchanged."""
     cleared = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
-        cleared.append([f.numerator * (mult // f.denominator) for f in fr])
+        mult = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (mult // x.denominator) for x in row])
     return IntMatrix.from_rows(cleared)
 
 

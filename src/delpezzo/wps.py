@@ -17,6 +17,15 @@ nonvanishing coordinates have a common factor; coordinate points of weight
 larger than one are the typical case.  Nodality (rank-4 Hessian) is
 certified in an affine chart at a nonvanishing weight-1 coordinate; points
 without such a coordinate are rejected rather than guessed.
+
+Internally the builder and the certifier run on integers.  A node is kept
+chart-normalized (chart coordinate 1, Fraction coordinates) and evaluated at
+its integer representative t.p, coordinate i times t**w_i for t the lcm of
+the denominators.  That scales the value of a form of degree d by t**d, a
+first partial d/dx_i by t**(d - w_i) and a second partial d2/dx_a dx_b by
+t**(d - w_a - w_b), so vanishing and ranks are unchanged.  Forms are
+likewise cleared to integer coefficients, and the first and second partials
+of each form are computed once, not once per node.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import lattice
 from .errors import (InvariantViolation, NegativeLDegree, NoSolution,
@@ -33,7 +44,7 @@ from .errors import (InvariantViolation, NegativeLDegree, NoSolution,
 
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
-Poly = dict[Mono, Fraction]
+Poly = dict[Mono, Fraction]   # integer coefficients inside the builder
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,16 @@ class WeightedSpace:
 
 
 def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
-    """All exponent vectors e with sum(e_i * w_i) = degree, ascending lex."""
+    """All exponent vectors e with sum(e_i * w_i) = degree, ascending lex.
+
+    Each call returns a fresh list; the enumeration itself is memoized."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    weights = space.weights
+    return list(_monomials(space.weights, degree))
+
+
+@lru_cache(maxsize=64)
+def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
     out: list[Mono] = []
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
@@ -96,32 +113,44 @@ def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
             rec(i + 1, remaining - e * weights[i], prefix + (e,))
 
     rec(0, degree, ())
-    return out
+    return tuple(out)
 
 
 # -- exact polynomial helpers ---------------------------------------------
 
 def _poly_from_vector(monos: list[Mono], coeffs) -> Poly:
-    return {m: Fraction(c) for m, c in zip(monos, coeffs) if c != 0}
+    return {m: c for m, c in zip(monos, coeffs) if c != 0}
 
-def _mono_eval(e: Mono, p: Point) -> Fraction:
-    v = Fraction(1)
-    for ei, pi in zip(e, p):
-        if ei:
-            v *= Fraction(pi) ** ei
-    return v
+def _integral(space: WeightedSpace, p: Point) -> tuple[int, ...]:
+    """The integer representative t.p of a point: coordinate i times
+    t**w_i, for t the lcm of the coordinates' denominators."""
+    t = lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (t ** w // c.denominator)
+                 for w, c in zip(space.weights, p))
 
-def poly_eval(poly: Poly, p: Point) -> Fraction:
-    return sum((c * _mono_eval(e, p) for e, c in poly.items()), Fraction(0))
+def _lowered(e: Mono, i: int) -> Mono:
+    return e[:i] + (e[i] - 1,) + e[i + 1:]
+
+def poly_eval(poly: Poly, p: Point) -> Fraction | int:
+    """Value at p; integer for an integer form at an integer point."""
+    return sum(c * prod(map(pow, p, e)) for e, c in poly.items())
 
 def poly_partial(poly: Poly, i: int) -> Poly:
     out: Poly = {}
     for e, c in poly.items():
         if e[i]:
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[i]
+            d = _lowered(e, i)
+            out[d] = out.get(d, 0) + c * e[i]
     return {e: c for e, c in out.items() if c != 0}
+
+def _partials(poly: Poly, nvars: int) -> tuple[list[Poly], list[list[Poly]]]:
+    """First partials f_i and the symmetric table of second partials f_ab."""
+    first = [poly_partial(poly, i) for i in range(nvars)]
+    second: list[list[Poly]] = [[{}] * nvars for _ in range(nvars)]
+    for a in range(nvars):
+        for b in range(a, nvars):
+            second[a][b] = second[b][a] = poly_partial(first[a], b)
+    return first, second
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
@@ -138,16 +167,23 @@ def _poly_pow(a: Poly, n: int, nvars: int) -> Poly:
     return out
 
 
-def hessian_rank(space: WeightedSpace, poly: Poly, point: Point) -> int:
-    """Rank of the Hessian of the affine-chart dehomogenization at a
-    normalized point (chart coordinate equal to 1)."""
+def hessian_rank(space: WeightedSpace, second: list[list[Poly]],
+                 point: Point) -> int:
+    """Rank of the Hessian of the affine-chart dehomogenization at a point,
+    given the form's second partials second[a][b] (see ``_partials``).
+
+    It is read at the point's integer representative: entry (a, b) scales
+    by t**(deg - w_a - w_b), a diagonal congruence times a scalar, so the
+    rank is that at the chart-normalized point."""
     j = space.chart_index(point)
     if j is None:
         raise UnsupportedChart("point has no nonvanishing weight-1 coordinate")
+    q = _integral(space, point)
     others = [i for i in range(len(space.weights)) if i != j]
-    firsts = {i: poly_partial(poly, i) for i in others}
-    rows = [[poly_eval(poly_partial(firsts[a], b), point) for b in others]
-            for a in others]
+    rows = [[0] * len(others) for _ in others]
+    for r, a in enumerate(others):
+        for c in range(r, len(others)):
+            rows[r][c] = rows[c][r] = poly_eval(second[a][others[c]], q)
     return lattice.rank(lattice.from_rational_rows(rows))
 
 
@@ -156,8 +192,12 @@ class NodalHypersurface:
     """Hypersurface of given weighted degree with a list of declared nodes.
 
     Coefficients are exact rationals indexed by the lex-ordered monomial
-    basis of the degree.  At every node the form and its gradient vanish,
-    the chart Hessian has rank 4, and the ambient space is smooth.
+    basis of the degree.  Nodes are stored chart-normalized (chart
+    coordinate 1).  At every node the form and its gradient vanish, the
+    chart Hessian has rank 4, and the ambient space is smooth.  ``checked``
+    certifies this on the integer form (coefficients times the lcm of their
+    denominators) at each node's integer representative, reading the value,
+    the gradient and the Hessian from one table of partials of the form.
     """
 
     ambient: WeightedSpace
@@ -174,7 +214,8 @@ class NodalHypersurface:
         return enumerate_monomials(self.ambient, self.degree)
 
     def polynomial(self) -> Poly:
-        return _poly_from_vector(self.monomials(), self.coefficients)
+        return {m: Fraction(c)
+                for m, c in zip(self.monomials(), self.coefficients) if c != 0}
 
     @property
     def mu(self) -> int:
@@ -188,16 +229,18 @@ class NodalHypersurface:
         norm = _prepare_nodes(ambient, nodes)
         coeffs = tuple(Fraction(c) for c in coefficients)
         hyp = cls(ambient, degree, coeffs, norm)
-        poly = hyp.polynomial()
+        form = lattice.from_rational_rows([coeffs]).entries
+        poly = _poly_from_vector(hyp.monomials(), form)
         if not poly:
             raise InvariantViolation("the zero form is not a hypersurface")
+        first, second = _partials(poly, len(ambient.weights))
         for p in norm:
-            if poly_eval(poly, p) != 0:
+            q = _integral(ambient, p)
+            if poly_eval(poly, q) != 0:
                 raise InvariantViolation(f"form does not vanish at {p}")
-            for i in range(len(ambient.weights)):
-                if poly_eval(poly_partial(poly, i), p) != 0:
-                    raise InvariantViolation(f"gradient does not vanish at {p}")
-            if hessian_rank(ambient, poly, p) != ambient.dim:
+            if any(poly_eval(f, q) != 0 for f in first):
+                raise InvariantViolation(f"gradient does not vanish at {p}")
+            if hessian_rank(ambient, second, q) != ambient.dim:
                 raise InvariantViolation(f"Hessian is degenerate at {p}")
         return hyp
 
@@ -218,22 +261,18 @@ def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     return tuple(norm)
 
 
-def _node_constraint_rows(space: WeightedSpace, monos: list[Mono],
-                          nodes: tuple[Point, ...]) -> list[list[Fraction]]:
+def _node_constraint_rows(monos: list[Mono],
+                          points: list[tuple[int, ...]]) -> list[list[int]]:
+    """Value and first-partial rows of the monomials at integer points."""
+    nvars = len(monos[0])
+    lowered = [[(e[i], _lowered(e, i) if e[i] else e) for e in monos]
+               for i in range(nvars)]
     rows = []
-    nvars = len(space.weights)
-    for p in nodes:
-        rows.append([_mono_eval(e, p) for e in monos])
+    for q in points:
+        rows.append([prod(map(pow, q, e)) for e in monos])
         for i in range(nvars):
-            row = []
-            for e in monos:
-                if e[i] == 0:
-                    row.append(Fraction(0))
-                else:
-                    d = list(e)
-                    d[i] -= 1
-                    row.append(e[i] * _mono_eval(tuple(d), p))
-            rows.append(row)
+            rows.append([k * prod(map(pow, q, d)) if k else 0
+                         for k, d in lowered[i]])
     return rows
 
 
@@ -245,32 +284,39 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     Vanishing of the form and its gradient at each node is an exact linear
     system on the coefficients; a seeded pseudo-random element of its
     solution space is drawn and redrawn (bounded retries) until the chart
-    Hessian has full rank at every node.
+    Hessian has full rank at every node.  The system is assembled at the
+    nodes' integer representatives, which scales each row and leaves the
+    kernel unchanged; draws mix the kernel scaled to integers, and only the
+    accepted draw is divided back.
     """
     norm = _prepare_nodes(space, nodes)
+    points = [_integral(space, p) for p in norm]
     monos = enumerate_monomials(space, degree)
     if not monos:
         raise NoSolution(f"no monomials of degree {degree}")
     if norm:
         constraints = lattice.from_rational_rows(
-            _node_constraint_rows(space, monos, norm))
+            _node_constraint_rows(monos, points))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)
     if not kernel:
         raise NoSolution("node constraints force the zero form")
+    den = lcm(*(x.denominator for v in kernel for x in v))
+    columns = list(zip(*([x.numerator * (den // x.denominator) for x in v]
+                         for v in kernel)))
     rng = random.Random(seed)
     for _ in range(max_tries):
         mix = [rng.randint(-9, 9) for _ in kernel]
         if not any(mix):
             continue
-        coeffs = [sum((m * v[k] for m, v in zip(mix, kernel)), Fraction(0))
-                  for k in range(len(monos))]
+        coeffs = [sum(map(mul, mix, col)) for col in columns]
         if not any(coeffs):
             continue
-        poly = _poly_from_vector(monos, coeffs)
-        if all(hessian_rank(space, poly, p) == space.dim for p in norm):
-            return NodalHypersurface(space, degree, tuple(coeffs), norm)
+        _, second = _partials(_poly_from_vector(monos, coeffs), len(space.weights))
+        if all(hessian_rank(space, second, q) == space.dim for q in points):
+            return NodalHypersurface(space, degree,
+                                     tuple(Fraction(c, den) for c in coeffs), norm)
     raise NodalityFailed(
         f"no draw out of {max_tries} gave rank-{space.dim} Hessians at all "
         "nodes; choose different nodes")
@@ -303,7 +349,8 @@ def defect(x: NodalHypersurface) -> DefectReport:
     h0 = len(monos)
     if x.mu == 0:
         return DefectReport(0, h0, 0, 0)
-    rows = [[_mono_eval(e, p) for e in monos] for p in x.nodes]
+    points = [_integral(x.ambient, p) for p in x.nodes]
+    rows = [[prod(map(pow, q, e)) for e in monos] for q in points]
     eval_rank = lattice.rank(lattice.from_rational_rows(rows))
     delta = x.mu - eval_rank
     assert 0 <= delta <= x.mu

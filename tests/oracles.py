@@ -3,13 +3,16 @@
 These deliberately avoid the code paths they check: monomial counting by
 raw exponent search, Smith invariants through minor gcds, determinants by
 Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
-``Fraction``, quiver dimensions by a forbidden-factor automaton walk and
-quiver bases by a brute-force search of composable words.
+``Fraction``, the seeded hypersurface builder and the defect with every
+value, kernel vector and chart Hessian over ``Fraction`` at chart-normalized
+nodes, quiver dimensions by a forbidden-factor automaton walk and quiver
+bases by a brute-force search of composable words.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -121,6 +124,90 @@ def fraction_inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced]
+
+
+def monomial_value(e, p):
+    """prod p_i ** e_i over ``Fraction``."""
+    v = Fraction(1)
+    for ei, pi in zip(e, p):
+        if ei:
+            v *= Fraction(pi) ** ei
+    return v
+
+
+def _lower(e, i):
+    return e[:i] + (e[i] - 1,) + e[i + 1:]
+
+
+def _fraction_partial(poly, i):
+    out = {}
+    for e, c in poly.items():
+        if e[i]:
+            d = _lower(e, i)
+            out[d] = out.get(d, Fraction(0)) + c * e[i]
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _fraction_eval(poly, p):
+    return sum((c * monomial_value(e, p) for e, c in poly.items()), Fraction(0))
+
+
+def chart_normalize(weights, point):
+    """(point scaled so its first nonzero weight-1 coordinate is 1, that
+    coordinate's index)."""
+    j = next(i for i, (w, c) in enumerate(zip(weights, point)) if w == 1 and c != 0)
+    t = 1 / Fraction(point[j])
+    return tuple(Fraction(c) * t ** w for w, c in zip(weights, point)), j
+
+
+def chart_hessian_rank(poly, node, chart):
+    """Rank of the second partials in every variable but the chart one."""
+    others = [i for i in range(len(node)) if i != chart]
+    return fraction_rank([[_fraction_eval(_fraction_partial(_fraction_partial(poly, a), b),
+                                          node) for b in others] for a in others])
+
+
+def fraction_build(weights, degree, nodes, seed=0, max_tries=64):
+    """The seeded builder over ``Fraction``: (coefficients, normalized
+    nodes), or the name of the error the builder raises.
+
+    At each chart-normalized node the value row and the first-partial rows
+    of the monomials are assembled, the kernel is read off their reduced
+    row echelon form, and kernel vectors are mixed with the same seeded
+    draw until the chart Hessian has full rank at every node."""
+    monos = brute_force_monomials(weights, degree)
+    norm = [chart_normalize(weights, p) for p in nodes]
+    rows = []
+    for node, _ in norm:
+        rows.append([monomial_value(e, node) for e in monos])
+        for i in range(len(weights)):
+            rows.append([e[i] * monomial_value(_lower(e, i), node) if e[i]
+                         else Fraction(0) for e in monos])
+    kernel = fraction_nullspace(rows, len(monos))
+    if not kernel:
+        return "NoSolution"
+    rng = random.Random(seed)
+    for _ in range(max_tries):
+        mix = [rng.randint(-9, 9) for _ in kernel]
+        if not any(mix):
+            continue
+        coeffs = [sum((m * v[k] for m, v in zip(mix, kernel)), Fraction(0))
+                  for k in range(len(monos))]
+        if not any(coeffs):
+            continue
+        poly = {e: c for e, c in zip(monos, coeffs) if c != 0}
+        if all(chart_hessian_rank(poly, node, j) == len(weights) - 1
+               for node, j in norm):
+            return tuple(coeffs), tuple(node for node, _ in norm)
+    return "NodalityFailed"
+
+
+def fraction_defect(weights, degree, nodes):
+    """(mu, h0(L), evaluation rank, delta) with the adjoint-degree
+    monomials evaluated over ``Fraction`` at the given nodes."""
+    monos = brute_force_monomials(weights, 2 * degree - sum(weights))
+    rank = fraction_rank([[monomial_value(e, p) for e in monos] for p in nodes])
+    return len(nodes), len(monos), rank, len(nodes) - rank
 
 
 def transfer_dimension(vertices, arrows, relations):

@@ -206,6 +206,22 @@ def test_quiver_complete_graph_is_infinite_at_once(tmp_path, n):
     assert json.loads(proc.stdout)["dimension"] is None
 
 
+@pytest.mark.parametrize("command, name, body", [
+    ("quiver", "bad.quiver", b"vertices 1\n\xff\n"),
+    ("defect", "bad.hyp", b"weights 1 1 1 1 1\ndegree 3\n\xfe\n"),
+    ("replay", "bad.sod", b"ambient \xff\n"),
+])
+def test_non_utf8_input_is_an_input_fault(tmp_path, command, name, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    proc = run_module(command, str(path), "--json")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert (error["name"], error["code"]) == ("UndecodableInput", 72)
+    assert str(path) in error["message"]
+
+
 def test_quiver_unknown_name(capsys):
     code, _, err = run(capsys, "quiver", "missing-quiver")
     assert code == 2

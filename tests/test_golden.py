@@ -2,11 +2,14 @@
 quiver report.
 
 Each ``.hyp`` file under ``golden/`` was rendered by ``dsl.render_instance``
-from ``build_nodal_hypersurface(space, degree, nodes, seed=0)`` with the
-Fraction Gauss-Jordan kernel.  Its weights, degree and nodes are the
-builder's input; the whole file, coefficients included, is the expected
-output.  Any change to the kernel basis, the draw or the rendering shows
-up here as a text difference.
+from ``build_nodal_hypersurface(space, degree, nodes, seed=0)`` while the
+builder still assembled and mixed over ``Fraction``: the cubic and the
+sextic with the Fraction Gauss-Jordan kernel, the quartic on P(1,1,1,1,2)
+(nodes with denominators and charts at x0, x1 and x2, defect 0) with the
+fraction-free kernel.  Its weights, degree and nodes are the builder's
+input; the whole file, coefficients included, is the expected output.  Any
+change to the kernel basis, the draw or the rendering shows up here as a
+text difference.
 
 Each ``.json`` file is the output of ``delpezzo quiver <name> --json`` from
 the enumerator that ran to length |vertices| x |arrows| + 1 before testing
@@ -25,7 +28,8 @@ from delpezzo.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["cubic-6n.hyp", "sextic-12n.hyp"])
+@pytest.mark.parametrize("name", ["cubic-6n.hyp", "sextic-12n.hyp",
+                                  "quartic-rational.hyp"])
 def test_build_matches_golden(name):
     expected = (GOLDEN / name).read_text()
     space, degree, nodes, _ = dsl.parse_instance(expected)

@@ -3,15 +3,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.errors import (InvariantViolation, NegativeLDegree,
-                             NodeAtAmbientSingularity, UnsupportedChart)
+                             NodeAtAmbientSingularity, ToolError,
+                             UnsupportedChart)
 from delpezzo.wps import (NodalHypersurface, WeightedSpace, adjoint_degree,
                           apply_linear_change, build_nodal_hypersurface,
                           defect, enumerate_monomials, poly_eval, poly_partial)
-from oracles import brute_force_monomials
+from oracles import (brute_force_monomials, chart_normalize, fraction_build,
+                     fraction_defect)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
@@ -179,3 +181,55 @@ def test_defect_invariant_under_recoordinatization(space, degree, nodes):
     for _ in range(3):
         moved = apply_linear_change(hyp, _random_weight_preserving(space, rng))
         assert defect(moved) == base
+
+
+def test_enumerate_monomials_returns_a_fresh_list():
+    mons = enumerate_monomials(P11123, 4)
+    mons.clear()
+    assert len(enumerate_monomials(P11123, 4)) == 25
+    with pytest.raises(ValueError):
+        enumerate_monomials(P11123, -1)
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+nonzero_fractions = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                              st.integers(1, 4))
+
+
+@st.composite
+def rational_instances(draw):
+    """An ambient with its del Pezzo degree and 1-4 nodes with rational
+    coordinates; the first node vanishes at x0, so its chart coordinate is
+    another weight-1 variable."""
+    space, degree = draw(st.sampled_from([(P4, 3), (P11112, 4), (P11123, 6)]))
+    unit = [i for i, w in enumerate(space.weights) if w == 1]
+    nodes = []
+    for k in range(draw(st.integers(1, 4))):
+        chart = draw(st.sampled_from(unit[1:] if k == 0 else unit))
+        node = [Fraction(0) if w == 1 and i < chart else draw(small_fractions)
+                for i, w in enumerate(space.weights)]
+        node[chart] = draw(nonzero_fractions)
+        nodes.append(tuple(node))
+    return space, degree, nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_instances(), st.integers(0, 3))
+def test_builder_matches_fraction_reference(case, seed):
+    space, degree, nodes = case
+    norm = [chart_normalize(space.weights, p)[0] for p in nodes]
+    assume(len(set(norm)) == len(norm))
+    assume(any(c.denominator > 1 for p in norm for c in p))
+    expected = fraction_build(space.weights, degree, nodes, seed=seed)
+    if isinstance(expected, str):
+        with pytest.raises(ToolError) as info:
+            build_nodal_hypersurface(space, degree, nodes, seed=seed)
+        assert type(info.value).__name__ == expected
+        return
+    hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
+    assert (hyp.coefficients, hyp.nodes) == expected
+    report = defect(hyp)
+    assert (report.mu, report.h0_L, report.eval_rank, report.delta) == \
+        fraction_defect(space.weights, degree, hyp.nodes)
+    again = NodalHypersurface.checked(space, degree, hyp.coefficients, nodes)
+    assert again == hyp
