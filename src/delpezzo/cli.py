@@ -64,13 +64,15 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
 
 
 def _read_input(path: Path) -> str:
-    """Text of an input file; bytes that are not UTF-8 are an input fault
-    naming the file."""
+    """Text of an input file.  Bytes that are not UTF-8, a directory and an
+    unreadable file are input faults naming the path."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableInput(
             f"{path}: byte {exc.start} is not UTF-8 text") from None
+    except (IsADirectoryError, PermissionError) as exc:
+        raise InstanceFormatError(f"{path}: {exc.strerror}") from None
 
 
 def _cmd_defect(args) -> int:

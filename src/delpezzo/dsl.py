@@ -16,7 +16,8 @@ Script grammar (one statement per line, '#' starts a comment):
 A decomposition literal is `<node, node, ...>` with node syntax
 O(aH+bE), O_E(aH+bE), O(ah+bD), O_D(ah+bD) or CAT(name); class syntax is a
 signed integer combination of the two symbols of one basis, or 0.  Parse
-errors report line and column.
+errors report line and column; a header degree other than 4, 5 or 6 is an
+OutOfRangeDegree naming the header line.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import InstanceFormatError, ScriptSyntaxError
-from .intersection import (BASIS_HE, BASIS_hD, DivisorClass, he, hd, rewrite)
+from .errors import InstanceFormatError, OutOfRangeDegree, ScriptSyntaxError
+from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, he,
+                           hd, rewrite)
 from .mutations import MutationRule, ReplayScript
 from .quivers import Quiver
 from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
@@ -217,6 +219,10 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
         raise ScriptSyntaxError(header.number, col, "d=<n>")
     d = int(m.group(1))
     header.done()
+    try:
+        BlowupGeometry(d)
+    except OutOfRangeDegree as exc:
+        raise OutOfRangeDegree(f"line {header.number}: {exc}") from None
     ambient = f"Y{d}"
 
     axioms: list[Decomposition] = []

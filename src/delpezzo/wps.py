@@ -26,6 +26,15 @@ first partial d/dx_i by t**(d - w_i) and a second partial d2/dx_a dx_b by
 t**(d - w_a - w_b), so vanishing and ranks are unchanged.  Forms are
 likewise cleared to integer coefficients, and the first and second partials
 of each form are computed once, not once per node.
+
+A weight-preserving change of coordinates A is block diagonal by weight,
+so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
+Scaling the weight-w block of A by t**w, for t the lcm of A's denominators,
+gives an integer matrix B = D_t.A with f(A x) = f(B x) / t**deg; the
+substitution is expanded over the integers and divided back once.  The
+inverse is cleared the same way, and since a block-scaled matrix moves a
+point only by a weighted rescaling, the nodes' images are computed from
+their integer representatives.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from . import lattice
 from .errors import (InvariantViolation, NegativeLDegree, NoSolution,
@@ -44,7 +53,7 @@ from .errors import (InvariantViolation, NegativeLDegree, NoSolution,
 
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
-Poly = dict[Mono, Fraction]   # integer coefficients inside the builder
+Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebra
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,15 @@ class WeightedSpace:
         return None
 
     def normalize(self, point: Point) -> Point:
-        """Scale so the chart coordinate equals 1 (weights scale as c * t^w)."""
+        """Scale so the chart coordinate c_j equals 1: coordinate i becomes
+        c_i / c_j**w_i, built as one Fraction from integers."""
         j = self.chart_index(point)
         if j is None:
             raise UnsupportedChart(
                 "point has no nonvanishing weight-1 coordinate")
-        t = 1 / Fraction(point[j])
-        return tuple(Fraction(c) * t ** w for w, c in zip(self.weights, point))
+        a, b = point[j].numerator, point[j].denominator
+        return tuple(Fraction(c.numerator * b ** w, c.denominator * a ** w)
+                     for w, c in zip(self.weights, point))
 
 
 def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
@@ -156,15 +167,9 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-def _poly_pow(a: Poly, n: int, nvars: int) -> Poly:
-    out: Poly = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
 
 
 def hessian_rank(space: WeightedSpace, second: list[list[Poly]],
@@ -227,7 +232,7 @@ class NodalHypersurface:
         """Validating constructor: normalizes the nodes and verifies every
         declared invariant, raising on the first violation."""
         norm = _prepare_nodes(ambient, nodes)
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(map(_fraction, coefficients))
         hyp = cls(ambient, degree, coeffs, norm)
         form = lattice.from_rational_rows([coeffs]).entries
         poly = _poly_from_vector(hyp.monomials(), form)
@@ -245,10 +250,15 @@ class NodalHypersurface:
         return hyp
 
 
+def _fraction(c) -> Fraction:
+    """c itself when it already is a Fraction, else Fraction(c)."""
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
 def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     norm: list[Point] = []
     for raw in nodes:
-        p = tuple(Fraction(c) for c in raw)
+        p = tuple(map(_fraction, raw))
         if all(c == 0 for c in p):
             raise ValueError("the zero tuple is not a point")
         if space.is_singular_point(p):
@@ -357,6 +367,15 @@ def defect(x: NodalHypersurface) -> DefectReport:
     return DefectReport(x.mu, h0, eval_rank, delta)
 
 
+def _block_cleared(weights: tuple[int, ...],
+                   mat: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(t, D_t.A) for a weight-preserving A: t is the lcm of A's
+    denominators and D_t scales the weight-w block by t**w."""
+    t = lcm(*(a.denominator for row in mat for a in row))
+    return t, [[a.numerator * (t ** w // a.denominator) for a in row]
+               for w, row in zip(weights, mat)]
+
+
 def apply_linear_change(x: NodalHypersurface,
                         matrix: list[list[Fraction | int]]) -> NodalHypersurface:
     """Re-coordinatize by an invertible weight-preserving linear substitution.
@@ -364,35 +383,51 @@ def apply_linear_change(x: NodalHypersurface,
     Entry (i, j) may only be nonzero when the weights of variables i and j
     agree; the substituted form is g(x) = f(A x) and the nodes move by the
     inverse matrix.  The defect report is invariant under such changes.
+
+    Both run on integers.  With f = F/s for an integer form F, and
+    B = D_t.A integral (t the lcm of A's denominators, D_t scaling the
+    weight-w block by t**w, which commutes with A), f(D_t.y) = t**deg f(y)
+    gives g = F(B x) / (s t**deg): the powers of the forms (B x)_i are built
+    once, the products expanded over the integers and each coefficient
+    divided back once.  A node p moves to C.q for q its integer
+    representative and C = D_u.A^-1 integral, a weighted rescaling of
+    A^-1.p that normalizes to the same chart point.
     """
     weights = x.ambient.weights
     n = len(weights)
-    mat = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    mat = [[_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if mat[i][j] != 0 and weights[i] != weights[j]:
                 raise ValueError("substitution must preserve weights")
     inv = lattice.invert_rational(mat)
+    t, forward = _block_cleared(weights, mat)
+    _, backward = _block_cleared(weights, inv)
 
     monos = x.monomials()
-    nvars = n
-    forms = [{tuple(int(k == j) for k in range(nvars)): mat[i][j]
-              for j in range(nvars) if mat[i][j] != 0} for i in range(nvars)]
-    new_poly: Poly = {}
-    for e, c in zip(monos, x.coefficients):
-        if c == 0:
-            continue
-        term: Poly = {(0,) * nvars: Fraction(1)}
-        for i, ei in enumerate(e):
-            if ei:
-                term = _poly_mul(term, _poly_pow(forms[i], ei, nvars))
+    s = lcm(*(c.denominator for c in x.coefficients))
+    terms = [(e, c.numerator * (s // c.denominator))
+             for e, c in zip(monos, x.coefficients) if c != 0]
+    powers: list[list[Poly]] = []
+    for i, row in enumerate(forward):
+        form = {tuple(int(k == j) for k in range(n)): v
+                for j, v in enumerate(row) if v}
+        powers.append([{(0,) * n: 1}])
+        for _ in range(max((e[i] for e, _ in terms), default=0)):
+            powers[i].append(_poly_mul(powers[i][-1], form))
+    image: Poly = {}
+    for e, c in terms:
+        term = powers[0][e[0]]
+        for i in range(1, n):
+            if e[i]:
+                term = _poly_mul(term, powers[i][e[i]])
         for m, v in term.items():
-            new_poly[m] = new_poly.get(m, Fraction(0)) + c * v
+            image[m] = image.get(m, 0) + c * v
+    den = s * t ** x.degree
     index = {m: k for k, m in enumerate(monos)}
     coeffs = [Fraction(0)] * len(monos)
-    for m, v in new_poly.items():
-        if v != 0:
-            coeffs[index[m]] = v
-    new_nodes = [tuple(sum((inv[i][j] * p[j] for j in range(n)), Fraction(0))
-                       for i in range(n)) for p in x.nodes]
+    for m, v in image.items():
+        coeffs[index[m]] = Fraction(v, den)
+    points = [_integral(x.ambient, p) for p in x.nodes]
+    new_nodes = [tuple(sum(map(mul, row, q)) for row in backward) for q in points]
     return NodalHypersurface.checked(x.ambient, x.degree, coeffs, new_nodes)

@@ -5,8 +5,10 @@ raw exponent search, Smith invariants through minor gcds, determinants by
 Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
 ``Fraction``, the seeded hypersurface builder and the defect with every
 value, kernel vector and chart Hessian over ``Fraction`` at chart-normalized
-nodes, quiver dimensions by a forbidden-factor automaton walk and quiver
-bases by a brute-force search of composable words.
+nodes, the linear change of coordinates by expanding f(Ax) over
+``Fraction`` one linear factor at a time, quiver dimensions by a
+forbidden-factor automaton walk and quiver bases by a brute-force search
+of composable words.
 """
 
 from __future__ import annotations
@@ -208,6 +210,49 @@ def fraction_defect(weights, degree, nodes):
     monos = brute_force_monomials(weights, 2 * degree - sum(weights))
     rank = fraction_rank([[monomial_value(e, p) for e in monos] for p in nodes])
     return len(nodes), len(monos), rank, len(nodes) - rank
+
+
+def _fraction_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def fraction_linear_change(weights, degree, coefficients, nodes, matrix):
+    """g(x) = f(Ax) over ``Fraction``: (coefficients of g, the images
+    A^-1 p of the nodes, chart-normalized), or "ValueError" for a matrix
+    that mixes weights or is singular.
+
+    Every monomial of f is expanded by multiplying in its linear forms
+    (A x)_i one at a time; the inverse comes from ``fraction_inverse``."""
+    n = len(weights)
+    mat = [[Fraction(a) for a in row] for row in matrix]
+    if any(mat[i][j] != 0 and weights[i] != weights[j]
+           for i in range(n) for j in range(n)):
+        return "ValueError"
+    inv = fraction_inverse(mat)
+    if inv is None:
+        return "ValueError"
+    monos = brute_force_monomials(weights, degree)
+    forms = [{tuple(int(k == j) for k in range(n)): mat[i][j]
+              for j in range(n) if mat[i][j] != 0} for i in range(n)]
+    image = {}
+    for e, c in zip(monos, coefficients):
+        if c == 0:
+            continue
+        term = {(0,) * n: Fraction(1)}
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                term = _fraction_mul(term, forms[i])
+        for m, v in term.items():
+            image[m] = image.get(m, Fraction(0)) + c * v
+    moved = [chart_normalize(weights, [sum((inv[i][j] * p[j] for j in range(n)),
+                                           Fraction(0)) for i in range(n)])[0]
+             for p in nodes]
+    return tuple(image.get(m, Fraction(0)) for m in monos), tuple(moved)
 
 
 def transfer_dimension(vertices, arrows, relations):

@@ -222,6 +222,17 @@ def test_non_utf8_input_is_an_input_fault(tmp_path, command, name, body):
     assert str(path) in error["message"]
 
 
+def test_defect_on_a_directory_is_an_input_fault(tmp_path):
+    folder = tmp_path / "instances"
+    folder.mkdir()
+    proc = run_module("defect", str(folder), "--json")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert (error["name"], error["code"]) == ("InstanceFormatError", 71)
+    assert str(folder) in error["message"]
+
+
 def test_quiver_unknown_name(capsys):
     code, _, err = run(capsys, "quiver", "missing-quiver")
     assert code == 2

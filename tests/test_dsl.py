@@ -6,7 +6,8 @@ from delpezzo.dsl import (builtin_script_names, load_builtin_script,
                           parse_class, parse_instance, parse_intersection_expr,
                           parse_node, parse_quiver, parse_script,
                           render_instance, render_script)
-from delpezzo.errors import InstanceFormatError, ScriptSyntaxError
+from delpezzo.errors import (InstanceFormatError, OutOfRangeDegree,
+                             ScriptSyntaxError)
 from delpezzo.intersection import BASIS_hD, he, hd
 from delpezzo.quivers import Quiver, path_basis
 from delpezzo.sod import LineBundle, Opaque, TwistedStructureSheaf
@@ -62,6 +63,15 @@ def test_empty_script_is_rejected():
     assert err.value.line == 1
     with pytest.raises(ScriptSyntaxError):
         parse_script("# only a comment\n")
+
+
+@pytest.mark.parametrize("d", [0, 3, 7])
+def test_header_degree_out_of_range_is_rejected_at_parse(d):
+    text = f"# degree {d}\nambient Y d={d}\naxiom <CAT(DbY)>\nexpect <CAT(DbY)>\n"
+    with pytest.raises(OutOfRangeDegree) as err:
+        parse_script(text)
+    assert err.value.code == 21
+    assert str(err.value) == f"line 2: degree must be 4, 5 or 6, got {d}"
 
 
 def test_header_is_required_first():

@@ -13,7 +13,7 @@ from delpezzo.wps import (NodalHypersurface, WeightedSpace, adjoint_degree,
                           apply_linear_change, build_nodal_hypersurface,
                           defect, enumerate_monomials, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_normalize, fraction_build,
-                     fraction_defect)
+                     fraction_defect, fraction_linear_change)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
@@ -173,6 +173,7 @@ def _random_weight_preserving(space, rng):
 @pytest.mark.parametrize("space,degree,nodes", [
     (P4, 3, [E4, (0, 1, 0, 0, 0)]),
     (P11112, 4, [(1, 0, 0, 0, 0)]),
+    (P11123, 6, [(1, 0, 0, 0, 0), (0, 1, 0, 1, 1)]),
 ])
 def test_defect_invariant_under_recoordinatization(space, degree, nodes):
     hyp = build_nodal_hypersurface(space, degree, nodes)
@@ -233,3 +234,43 @@ def test_builder_matches_fraction_reference(case, seed):
         fraction_defect(space.weights, degree, hyp.nodes)
     again = NodalHypersurface.checked(space, degree, hyp.coefficients, nodes)
     assert again == hyp
+
+
+@st.composite
+def weight_preserving_matrices(draw, weights):
+    """Rational matrices that only mix variables of equal weight.  The
+    entries of the weight-2 and weight-3 blocks have denominators 2 to 5
+    (and may be 0, so the matrix may be singular)."""
+    n = len(weights)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if weights[i] == weights[j] == 1:
+                mat[i][j] = draw(small_fractions)
+            elif weights[i] == weights[j]:
+                mat[i][j] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(2, 5)))
+    return mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_instances(), st.data())
+def test_linear_change_matches_fraction_reference(case, data):
+    space, degree, nodes = case
+    try:
+        hyp = build_nodal_hypersurface(space, degree, nodes)
+    except (ToolError, ValueError):
+        assume(False)
+    matrix = data.draw(weight_preserving_matrices(space.weights))
+    expected = fraction_linear_change(space.weights, degree, hyp.coefficients,
+                                      hyp.nodes, matrix)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError):
+            apply_linear_change(hyp, matrix)
+        return
+    moved = apply_linear_change(hyp, matrix)
+    assert (moved.coefficients, moved.nodes) == expected
+    assert all(type(c) is Fraction for c in moved.coefficients)
+    report = defect(moved)
+    assert report == defect(hyp)
+    assert (report.mu, report.h0_L, report.eval_rank, report.delta) == \
+        fraction_defect(space.weights, degree, expected[1])
