@@ -14,8 +14,7 @@ from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass,
                            triple)
 from .ktheory import (ComponentModel, GateVerdict, consistency_check,
                       k_minus1_total, k0_total, kawamata_gate, standard_models)
-from .lattice import (IntMatrix, SmithForm, rank, rational_nullspace,
-                      smith_normal_form)
+from .lattice import IntMatrix, rank, rational_nullspace
 from .mutations import (AuditLog, Equivalence, MutationRule, ReplayScript,
                         apply_rule, compare_and_solve, pushforward_vanishing,
                         replay)

@@ -85,10 +85,10 @@ def entries_for(d: int | None = None) -> list[DelPezzoEntry]:
 
 def singularity_budget(d: int) -> tuple[int, str]:
     """Maximal node count and singularity type note, degrees 4 to 6."""
-    budgets = {4: (6, "only cA_n"), 5: (3, "only nodal"), 6: (1, "only nodal")}
-    if d not in budgets:
+    if d not in (4, 5, 6):
         raise OutOfRangeDegree(f"node budgets cover degrees 4..6, got {d}")
-    return budgets[d]
+    entry = lookup(d)
+    return entry.max_nodes, entry.singularity_note
 
 
 # Chain shapes of the degree-5 blow-down center: the center is modeled as a

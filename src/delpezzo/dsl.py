@@ -5,19 +5,18 @@ Script grammar (one statement per line, '#' starts a comment):
 
     ambient Y d=<n>
     axiom <decomposition>
-    serre_rotate left|right at <i>..<j>
-    triangle_exchange at <i> support E|D direction <k>
-    swap at <i>
-    fiber_rebase at <i> shift +F|-F
-    opaque_transpose at <i> left|right
-    expand_blowup at <i> center <name> codim <c>
+    <rule>            e.g. swap at 3, serre_rotate left at 1..2
     expect <decomposition>
 
+A rule line follows its template in ``mutations.RULES``: literal words,
+integer slots, word choices such as left|right, and the block <i>..<j>.
 A decomposition literal is `<node, node, ...>` with node syntax
 O(aH+bE), O_E(aH+bE), O(ah+bD), O_D(ah+bD) or CAT(name); class syntax is a
 signed integer combination of the two symbols of one basis, or 0.  Parse
 errors report line and column; a header degree other than 4, 5 or 6 is an
-OutOfRangeDegree naming the header line.
+OutOfRangeDegree naming the header line, and an {h, D} literal at a
+degree without registered relations is a NoRelationsForDegree naming its
+line and column.
 """
 
 from __future__ import annotations
@@ -26,10 +25,11 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import InstanceFormatError, OutOfRangeDegree, ScriptSyntaxError
+from .errors import (InstanceFormatError, NoRelationsForDegree, OutOfRangeDegree,
+                     ScriptSyntaxError)
 from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, he,
                            hd, rewrite)
-from .mutations import MutationRule, ReplayScript
+from .mutations import RULES, SLOT, MutationRule, ReplayScript
 from .quivers import Quiver
 from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
                   node_text, standard_opaque)
@@ -78,7 +78,10 @@ def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNod
         if d is None:
             raise ScriptSyntaxError(line, col,
                                     "an {H,E} class (no degree in scope)")
-        cls = rewrite(cls, BASIS_HE, d)
+        try:
+            cls = rewrite(cls, BASIS_HE, d)
+        except NoRelationsForDegree as exc:
+            raise NoRelationsForDegree(f"line {line}, col {col}: {exc}") from None
     if head == "O":
         return LineBundle(cls)
     return TwistedStructureSheaf(head[-1], cls)
@@ -140,67 +143,37 @@ def _parse_decomposition(ln: _Line, d: int | None, ambient: str) -> Decompositio
     return Decomposition(ambient, tuple(nodes))
 
 
-def _parse_rule(keyword: str, ln: _Line) -> MutationRule:
-    if keyword == "serre_rotate":
-        direction, dcol = ln.take()
-        if direction not in ("left", "right"):
-            raise ScriptSyntaxError(ln.number, dcol, "'left' or 'right'")
-        ln.take("at")
-        span, col = ln.take()
-        m = re.fullmatch(r"(\d+)\.\.(\d+)", span)
-        if m is None:
-            raise ScriptSyntaxError(ln.number, col, "a block like 1..2")
-        ln.done()
-        return MutationRule("serre_rotate", int(m.group(1)),
-                            position_end=int(m.group(2)), direction=direction)
-    if keyword == "triangle_exchange":
-        ln.take("at")
-        pos = ln.take_int("a position")
-        ln.take("support")
-        support, scol = ln.take()
-        if support not in ("E", "D"):
-            raise ScriptSyntaxError(ln.number, scol, "'E' or 'D'")
-        ln.take("direction")
-        direction = ln.take_int("a direction in 1..3")
-        ln.done()
-        return MutationRule("triangle_exchange", pos, support=support,
-                            direction=direction)
-    if keyword == "swap":
-        ln.take("at")
-        pos = ln.take_int("a position")
-        ln.done()
-        return MutationRule("swap", pos)
-    if keyword == "fiber_rebase":
-        ln.take("at")
-        pos = ln.take_int("a position")
-        ln.take("shift")
-        shift, scol = ln.take()
-        if shift not in ("+F", "-F"):
-            raise ScriptSyntaxError(ln.number, scol, "'+F' or '-F'")
-        ln.done()
-        return MutationRule("fiber_rebase", pos, shift=shift)
-    if keyword == "opaque_transpose":
-        ln.take("at")
-        pos = ln.take_int("a position")
-        direction, dcol = ln.take()
-        if direction not in ("left", "right"):
-            raise ScriptSyntaxError(ln.number, dcol, "'left' or 'right'")
-        ln.done()
-        return MutationRule("opaque_transpose", pos, direction=direction)
-    if keyword == "expand_blowup":
-        ln.take("at")
-        pos = ln.take_int("a position")
-        ln.take("center")
-        center, _ = ln.take()
-        ln.take("codim")
-        codim = ln.take_int("a codimension")
-        ln.done()
-        return MutationRule("expand_blowup", pos, center=center, codim=codim)
-    raise AssertionError(keyword)
+# what an integer slot of a rule template expects
+_INT_SLOTS = {"position": "a position", "direction": "a direction in 1..3",
+              "codim": "a codimension"}
 
 
-_RULE_KEYWORDS = ("serre_rotate", "triangle_exchange", "swap", "fiber_rebase",
-                  "opaque_transpose", "expand_blowup")
+def _parse_rule(rule_id: str, ln: _Line) -> MutationRule:
+    """Read the rest of a rule line along the rule's grammar template."""
+    fields: dict[str, int | str] = {}
+    for word in RULES[rule_id][0].split()[1:]:
+        slots = SLOT.findall(word)
+        if not slots:
+            ln.take(word)
+        elif len(slots) == 2:   # a block {i}..{j}
+            tok, col = ln.take()
+            m = re.fullmatch(r"(\d+)\.\.(\d+)", tok)
+            if m is None:
+                raise ScriptSyntaxError(ln.number, col, "a block like 1..2")
+            (first, _), (second, _) = slots
+            fields[first], fields[second] = int(m.group(1)), int(m.group(2))
+        else:
+            name, spec = slots[0]
+            if not spec:
+                fields[name] = ln.take_int(_INT_SLOTS[name])
+            else:
+                tok, col = ln.take()
+                if spec != "*" and tok not in spec.split("|"):
+                    raise ScriptSyntaxError(ln.number, col, " or ".join(
+                        f"'{w}'" for w in spec.split("|")))
+                fields[name] = tok
+    ln.done()
+    return MutationRule(rule_id, **fields)
 
 
 def parse_script(text: str, name: str = "script") -> ReplayScript:
@@ -245,7 +218,7 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
             if any(re.search(r"[hD]", body) for body in bodies):
                 display_basis = BASIS_hD
             expected = _parse_decomposition(ln, d, ambient)
-        elif keyword in _RULE_KEYWORDS:
+        elif keyword in RULES:
             rules.append(_parse_rule(keyword, ln))
         else:
             raise ScriptSyntaxError(ln.number, col,
@@ -413,11 +386,8 @@ def parse_intersection_expr(text: str) -> list[DivisorClass]:
     pos = 0
     text = text.replace(" ", "")
     while pos < len(text):
-        if factors:
-            if text[pos] == "*":
-                pos += 1
-            elif text[pos] not in "(":
-                pass
+        if factors and text[pos] == "*":
+            pos += 1
         if pos < len(text) and text[pos] == "(":
             end = text.find(")", pos)
             if end < 0:

@@ -194,17 +194,15 @@ def iskovskikh_degree(d: int) -> int:
     Evaluates H^3 - (3H + K_V).L + 2g - 2 with H.L = 1, K_V.L = -2 and
     g = 0, and asserts agreement with (H-E)^3 from the stored products.
     """
-    if d not in (4, 5, 6):
-        raise OutOfRangeDegree(f"degree must be 4, 5 or 6, got {d}")
+    geom = BlowupGeometry(d)
     value = d - (3 * 1 + (-2)) + 2 * 0 - 2
     hme = H - E
-    assert value == triple(BlowupGeometry(d), hme, hme, hme)
+    assert value == triple(geom, hme, hme, hme)
     return value
 
 
 def canonical_class(d: int, basis: str = BASIS_HE) -> DivisorClass:
     """Canonical class of the line blow-up: -2H + E, rewritten on request."""
-    if d not in (4, 5, 6):
-        raise OutOfRangeDegree(f"degree must be 4, 5 or 6, got {d}")
+    BlowupGeometry(d)   # raises OutOfRangeDegree outside 4..6
     k = he(-2, 1)
     return rewrite(k, basis, d) if basis != BASIS_HE else k

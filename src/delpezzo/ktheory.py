@@ -89,11 +89,9 @@ def _profile(node, models: Mapping[str, ComponentModel]) -> KProfile:
     if not isinstance(node, Opaque):
         return LINE_BUNDLE_PROFILE
     model = models.get(node.name)
-    if model is not None:
-        return model.k_profile
-    if node.k_profile is not None:
-        return node.k_profile
-    raise UnmodeledComponent(f"no K-profile for component {node.name!r}")
+    if model is None:
+        raise UnmodeledComponent(f"no K-profile for component {node.name!r}")
+    return model.k_profile
 
 
 def k_minus1_total(dec: Decomposition,

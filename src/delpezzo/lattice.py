@@ -60,85 +60,6 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return IntMatrix.from_rows(cleared)
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonal of a Smith normal form; each entry divides the next."""
-
-    diagonal: tuple[int, ...]
-    rank: int
-
-
-def _pivot(a: list[list[int]], s: int) -> tuple[int, int] | None:
-    # smallest nonzero absolute value; ties broken by lowest (row, col)
-    best = None
-    for i in range(s, len(a)):
-        for j in range(s, len(a[0])):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-    return None if best is None else (best[1], best[2])
-
-
-def _move_pivot(a: list[list[int]], s: int, pos: tuple[int, int]) -> None:
-    i, j = pos
-    if i != s:
-        a[s], a[i] = a[i], a[s]
-    if j != s:
-        for row in a:
-            row[s], row[j] = row[j], row[s]
-    if a[s][s] < 0:
-        a[s] = [-x for x in a[s]]
-
-
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form via elementary row/column reduction.
-
-    The product of the first k diagonal entries equals the gcd of the
-    k x k minors, and the divisibility chain d1 | d2 | ... holds.
-    """
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    n = min(nr, nc)
-    diag = [0] * n
-    for s in range(n):
-        pos = _pivot(a, s)
-        if pos is None:
-            break
-        _move_pivot(a, s, pos)
-        while True:
-            dirty = False
-            for i in range(s + 1, nr):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s]:
-                        dirty = True
-            for j in range(s + 1, nc):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    for row in a:
-                        row[j] -= q * row[s]
-                    if a[s][j]:
-                        dirty = True
-            if dirty:
-                _move_pivot(a, s, _pivot(a, s))
-                continue
-            # edging is zero; force the pivot to divide the rest of the block
-            offender = None
-            for i in range(s + 1, nr):
-                for j in range(s + 1, nc):
-                    if a[i][j] % a[s][s]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[s] = [x + y for x, y in zip(a[s], a[offender])]
-        diag[s] = abs(a[s][s])
-    return SmithForm(tuple(diag), sum(1 for d in diag if d))
-
-
 def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan, in place; returns (rows, pivot columns, d)
     with rows / d the reduced row echelon form (d = 1 without pivots)."""

@@ -20,7 +20,12 @@ Six rule families are implemented:
                      class F (F = H on the line-side divisor), both twists
                      moving together;
   opaque_transpose   move an opaque node past a neighbor, preserving its
-                     abstract identity and extending its embedding tag.
+                     abstract identity.
+
+``RULES`` is the one registry of the families: each rule id maps to its
+script grammar template and its applier.  ``MutationRule.text`` renders
+the template, the script parser walks its tokens, and replay dispatches
+through it, so rendering and parsing agree by construction.
 
 Every application either fails with a named side-condition error or yields
 a new decomposition whose backwards Hom-vanishing facts are recorded into
@@ -30,6 +35,7 @@ so final states compare syntactically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import (FinalMismatch, NoRelationsForDegree, PerfectnessUnknown,
@@ -42,8 +48,9 @@ from .sod import (AXIOM, Decomposition, DISPLAY_NAMES, FactStore, LineBundle,
                   query_complete_orthogonality, record_decomposition,
                   standard_opaque, tensor)
 
-RULE_IDS = ("expand_blowup", "serre_rotate", "triangle_exchange", "swap",
-            "fiber_rebase", "opaque_transpose")
+# A template slot: {field} is an integer, {field:a|b} one of the listed
+# words, {field:*} any word.
+SLOT = re.compile(r"\{(\w+)(?::([^}]*))?\}")
 
 
 @dataclass(frozen=True)
@@ -60,21 +67,10 @@ class MutationRule:
     codim: int | None = None
 
     def text(self) -> str:
-        r = self.rule_id
-        if r == "expand_blowup":
-            return f"expand_blowup at {self.position} center {self.center} codim {self.codim}"
-        if r == "serre_rotate":
-            return f"serre_rotate {self.direction} at {self.position}..{self.position_end}"
-        if r == "triangle_exchange":
-            return (f"triangle_exchange at {self.position} support "
-                    f"{self.support} direction {self.direction}")
-        if r == "swap":
-            return f"swap at {self.position}"
-        if r == "fiber_rebase":
-            return f"fiber_rebase at {self.position} shift {self.shift}"
-        if r == "opaque_transpose":
-            return f"opaque_transpose at {self.position} {self.direction}"
-        raise ValueError(f"unknown rule id {r!r}")
+        if self.rule_id not in RULES:
+            raise ValueError(f"unknown rule id {self.rule_id!r}")
+        return SLOT.sub(lambda m: str(getattr(self, m.group(1))),
+                        RULES[self.rule_id][0])
 
 
 @dataclass(frozen=True)
@@ -115,14 +111,14 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
         return (
             TwistedStructureSheaf("E", he(-1, 1)),   # O_E(E-H)
             TwistedStructureSheaf("E", he(0, 1)),    # O_E(E)
-            standard_opaque(f"A_V{d}").with_tag("pullback from the threefold"),
+            standard_opaque(f"A_V{d}"),
             LineBundle(he(0, 0)),
             LineBundle(he(1, 0)),
         )
     if center == "C" and d == 4:
         h = rewrite(DivisorClass(BASIS_hD, (1, 0)), BASIS_HE, 4)
         return (
-            standard_opaque("DbC").with_tag("twisted copy of the center"),
+            standard_opaque("DbC"),
             LineBundle(-1 * h),
             LineBundle(he(0, 0)),
             LineBundle(h),
@@ -132,9 +128,9 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
         h = rewrite(DivisorClass(BASIS_hD, (1, 0)), BASIS_HE, 5)
         dd = rewrite(DivisorClass(BASIS_hD, (0, 1)), BASIS_HE, 5)
         return (
-            standard_opaque("A_C").with_tag("twisted copy of the center"),
+            standard_opaque("A_C"),
             TwistedStructureSheaf("D", dd - h),      # O_D(D-h)
-            standard_opaque("A_Q").with_tag("pullback from the image quadric"),
+            standard_opaque("A_Q"),
             LineBundle(-1 * h),
             LineBundle(he(0, 0)),
             LineBundle(h),
@@ -181,7 +177,7 @@ def _all_perfect(nodes) -> bool:
     return all(is_perfect(n) is True for n in nodes)
 
 
-def _apply_expand(nodes, rule, geom):
+def _apply_expand(nodes, rule, geom, store):
     i = rule.position
     _check_range(1 <= i <= len(nodes), f"position {i} outside 1..{len(nodes)}")
     node = nodes[i - 1]
@@ -203,7 +199,7 @@ def _apply_expand(nodes, rule, geom):
     return out, ev, AXIOM
 
 
-def _apply_serre(nodes, rule, geom):
+def _apply_serre(nodes, rule, geom, store):
     i, j = rule.position, rule.position_end
     m = len(nodes)
     _check_range(j is not None and 1 <= i <= j <= m,
@@ -214,15 +210,14 @@ def _apply_serre(nodes, rule, geom):
             raise SideConditionFailed(
                 "serre_rotate", "a left rotation moves a proper prefix block")
         block, rest = nodes[:j], nodes[j:]
-        moved = [tensor(n, -1 * k, "tensor by the inverse canonical twist")
-                 for n in block]
+        moved = [tensor(n, -1 * k) for n in block]
         out = rest + moved
     elif rule.direction == "right":
         if j != m or i <= 1:
             raise SideConditionFailed(
                 "serre_rotate", "a right rotation moves a proper suffix block")
         block, rest = nodes[i - 1:], nodes[:i - 1]
-        moved = [tensor(n, k, "tensor by the canonical twist") for n in block]
+        moved = [tensor(n, k) for n in block]
         out = moved + rest
     else:
         raise SideConditionFailed("serre_rotate",
@@ -268,7 +263,7 @@ def _triangle_pair(form: int, a: DivisorClass, s_class: DivisorClass,
     return [TwistedStructureSheaf(support, a), LineBundle(a - s_class)]
 
 
-def _apply_triangle(nodes, rule, geom):
+def _apply_triangle(nodes, rule, geom, store):
     i = rule.position
     m = len(nodes)
     _check_range(1 <= i <= m - 1, f"pair position {i} outside 1..{m - 1}")
@@ -322,7 +317,7 @@ def _apply_swap(nodes, rule, geom, store):
     return out, ev, RECORDED
 
 
-def _apply_rebase(nodes, rule, geom):
+def _apply_rebase(nodes, rule, geom, store):
     i = rule.position
     m = len(nodes)
     _check_range(1 <= i <= m - 1, f"pair position {i} outside 1..{m - 1}")
@@ -352,7 +347,7 @@ def _apply_rebase(nodes, rule, geom):
     return out, ev, RECORDED
 
 
-def _apply_transpose(nodes, rule, geom):
+def _apply_transpose(nodes, rule, geom, store):
     i = rule.position
     m = len(nodes)
     _check_range(1 <= i <= m, f"position {i} outside 1..{m}")
@@ -364,14 +359,12 @@ def _apply_transpose(nodes, rule, geom):
         if i < 2:
             raise SideConditionFailed("opaque_transpose", "no left neighbor")
         other = nodes[i - 2]
-        moved = node.with_tag(f"left mutation through {node_text(other)}")
-        out = nodes[:i - 2] + [moved, other] + nodes[i:]
+        out = nodes[:i - 2] + [node, other] + nodes[i:]
     elif rule.direction == "right":
         if i > m - 1:
             raise SideConditionFailed("opaque_transpose", "no right neighbor")
         other = nodes[i]
-        moved = node.with_tag(f"right mutation through {node_text(other)}")
-        out = nodes[:i - 1] + [other, moved] + nodes[i + 1:]
+        out = nodes[:i - 1] + [other, node] + nodes[i + 1:]
     else:
         raise SideConditionFailed("opaque_transpose",
                                   f"direction must be left or right, got {rule.direction!r}")
@@ -380,23 +373,26 @@ def _apply_transpose(nodes, rule, geom):
     return out, ev, RECORDED
 
 
+# rule id -> (script grammar template, applier(nodes, rule, geom, store))
+RULES = {
+    "expand_blowup": ("expand_blowup at {position} center {center:*} codim {codim}",
+                      _apply_expand),
+    "serre_rotate": ("serre_rotate {direction:left|right} at {position}..{position_end}",
+                     _apply_serre),
+    "triangle_exchange": ("triangle_exchange at {position} support {support:E|D} "
+                          "direction {direction}", _apply_triangle),
+    "swap": ("swap at {position}", _apply_swap),
+    "fiber_rebase": ("fiber_rebase at {position} shift {shift:+F|-F}", _apply_rebase),
+    "opaque_transpose": ("opaque_transpose at {position} {direction:left|right}",
+                         _apply_transpose),
+}
+
+
 def _apply(dec: Decomposition, rule: MutationRule, store: FactStore,
            geom: BlowupGeometry):
-    nodes = list(dec.nodes)
-    if rule.rule_id == "expand_blowup":
-        out, ev, prov = _apply_expand(nodes, rule, geom)
-    elif rule.rule_id == "serre_rotate":
-        out, ev, prov = _apply_serre(nodes, rule, geom)
-    elif rule.rule_id == "triangle_exchange":
-        out, ev, prov = _apply_triangle(nodes, rule, geom)
-    elif rule.rule_id == "swap":
-        out, ev, prov = _apply_swap(nodes, rule, geom, store)
-    elif rule.rule_id == "fiber_rebase":
-        out, ev, prov = _apply_rebase(nodes, rule, geom)
-    elif rule.rule_id == "opaque_transpose":
-        out, ev, prov = _apply_transpose(nodes, rule, geom)
-    else:
+    if rule.rule_id not in RULES:
         raise SideConditionFailed(rule.rule_id, "unknown rule")
+    out, ev, prov = RULES[rule.rule_id][1](list(dec.nodes), rule, geom, store)
     new_dec = Decomposition(dec.ambient, tuple(out))
     facts = record_decomposition(new_dec, store, prov)
     return new_dec, ev, facts

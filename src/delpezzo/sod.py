@@ -11,12 +11,13 @@ common line-bundle twist t).  No Ext group is ever computed from sheaf data.
 
 Twist closure is built into the fact keys: a pair of twistable nodes is
 stored by the difference of their classes, which is exactly the invariant
-of a common twist.  Facts with an opaque member only match on the nose.
+of a common twist.  Facts with an opaque member only match on the nose:
+an opaque node is known by its name alone, and mutating it keeps the name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UnknownBasis
 from .intersection import BASIS_HE, DivisorClass, class_text, rewrite
@@ -57,29 +58,16 @@ class TwistedStructureSheaf:
             raise ValueError(f"support must be 'E' or 'D', got {self.support!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Opaque:
     """An admissible subcategory tracked up to abstract equivalence.
 
-    Equality is by name only; the embedding tag is a provenance trail and
-    never takes part in comparisons.
+    Equality and hashing are by name only; a mutation moves the node but
+    keeps its identity, and no embedding is tracked.
     """
 
     name: str
-    perfect: bool | None = None
-    k_profile: KProfile | None = None
-    algebra: str | None = None
-    embedding_tag: str = ""
-
-    def __eq__(self, other):
-        return isinstance(other, Opaque) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Opaque", self.name))
-
-    def with_tag(self, note: str) -> "Opaque":
-        tag = f"{self.embedding_tag}|{note}" if self.embedding_tag else note
-        return Opaque(self.name, self.perfect, self.k_profile, self.algebra, tag)
+    perfect: bool | None = field(default=None, compare=False)
 
 
 SodNode = LineBundle | TwistedStructureSheaf | Opaque
@@ -113,13 +101,13 @@ def is_perfect(node: SodNode) -> bool | None:
     return True
 
 
-def tensor(node: SodNode, cls: DivisorClass, note: str = "") -> SodNode:
-    """Tensor a node by a line bundle class; opaque nodes only gain a tag."""
+def tensor(node: SodNode, cls: DivisorClass) -> SodNode:
+    """Tensor a node by a line bundle class; opaque nodes are unchanged."""
     if isinstance(node, LineBundle):
         return LineBundle(node.divisor + cls)
     if isinstance(node, TwistedStructureSheaf):
         return TwistedStructureSheaf(node.support, node.twist + cls)
-    return node.with_tag(note or f"tensor({class_text(cls)})")
+    return node
 
 
 @dataclass(frozen=True)

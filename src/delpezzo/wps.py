@@ -395,7 +395,9 @@ def apply_linear_change(x: NodalHypersurface,
     """
     weights = x.ambient.weights
     n = len(weights)
-    mat = [[_fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix must be {n} x {n}, one row and column per variable")
+    mat = [[_fraction(a) for a in row] for row in matrix]
     for i in range(n):
         for j in range(n):
             if mat[i][j] != 0 and weights[i] != weights[j]:

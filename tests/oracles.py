@@ -1,8 +1,7 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the code paths they check: monomial counting by
-raw exponent search, Smith invariants through minor gcds, determinants by
-Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
+raw exponent search, determinants by Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
 ``Fraction``, the seeded hypersurface builder and the defect with every
 value, kernel vector and chart Hessian over ``Fraction`` at chart-normalized
 nodes, the linear change of coordinates by expanding f(Ax) over
@@ -16,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 
 def brute_force_monomials(weights, degree):
@@ -40,30 +38,6 @@ def det_int(rows):
         minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         total += (-1) ** j * head * det_int(minor)
     return total
-
-
-def minors_gcd(rows, k):
-    """gcd of all k x k minors (0 when all vanish)."""
-    nr, nc = len(rows), len(rows[0])
-    g = 0
-    for ri in itertools.combinations(range(nr), k):
-        for ci in itertools.combinations(range(nc), k):
-            minor = [[rows[i][j] for j in ci] for i in ri]
-            g = gcd(g, det_int(minor))
-    return g
-
-
-def smith_diagonal_from_minors(rows):
-    """Smith diagonal d_i = gcd_i / gcd_{i-1} from minor gcds."""
-    n = min(len(rows), len(rows[0]))
-    gcds = [1] + [minors_gcd(rows, k) for k in range(1, n + 1)]
-    diag = []
-    for k in range(1, n + 1):
-        if gcds[k] == 0:
-            diag.append(0)
-        else:
-            diag.append(gcds[k] // gcds[k - 1])
-    return tuple(diag)
 
 
 def fraction_row_reduce(rows):

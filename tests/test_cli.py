@@ -104,6 +104,15 @@ def test_replay_syntax_error_exit_code(tmp_path, capsys):
     assert "ScriptSyntaxError" in err
 
 
+def test_hd_literal_without_relations_names_its_position(tmp_path, capsys):
+    bad = tmp_path / "sextic.sod"
+    bad.write_text("ambient Y d=6\naxiom <CAT(DbY)>\nexpect <O(0), O(h)>\n")
+    code, _, err = run(capsys, "replay", str(bad))
+    assert code == 2
+    assert err == ("error [NoRelationsForDegree/22]: line 3, col 8: "
+                   "no hD relations registered for degree 6\n")
+
+
 def test_intersect_subcommand(capsys):
     code, out, _ = run(capsys, "intersect", "d=4", "(H-E)^3")
     assert code == 0

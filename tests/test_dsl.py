@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delpezzo.dsl import (builtin_script_names, load_builtin_script,
                           parse_class, parse_instance, parse_intersection_expr,
@@ -9,6 +11,7 @@ from delpezzo.dsl import (builtin_script_names, load_builtin_script,
 from delpezzo.errors import (InstanceFormatError, OutOfRangeDegree,
                              ScriptSyntaxError)
 from delpezzo.intersection import BASIS_hD, he, hd
+from delpezzo.mutations import RULES, SLOT, MutationRule
 from delpezzo.quivers import Quiver, path_basis
 from delpezzo.sod import LineBundle, Opaque, TwistedStructureSheaf
 from delpezzo.wps import WeightedSpace, build_nodal_hypersurface
@@ -93,6 +96,33 @@ def test_round_trip_print_parse():
         again = parse_script(text, name=script.name)
         assert again == script
         assert render_script(again) == text
+
+
+def _rule_fields(rule_id):
+    """Field values a rule's template slots accept: integers (unsigned in a
+    block i..j), one of the listed words, or any word."""
+    fields = {"rule_id": st.just(rule_id)}
+    for word in RULES[rule_id][0].split():
+        slots = SLOT.findall(word)
+        for name, spec in slots:
+            if len(slots) > 1:
+                fields[name] = st.integers(0, 99)
+            elif not spec:
+                fields[name] = st.integers(-99, 99)
+            elif spec == "*":
+                fields[name] = st.from_regex(r"[A-Za-z0-9_+*.'-]+", fullmatch=True)
+            else:
+                fields[name] = st.sampled_from(spec.split("|"))
+    return st.builds(MutationRule, **fields)
+
+
+@given(st.sampled_from(sorted(RULES)).flatmap(_rule_fields))
+def test_every_rule_form_round_trips(rule):
+    text = rule.text()
+    script = parse_script(f"ambient Y d=5\naxiom <CAT(DbY)>\n{text}\n"
+                          "expect <CAT(DbY)>\n")
+    assert script.rules == (rule,)
+    assert script.rules[0].text() == text
 
 
 def test_display_basis_detection():

@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delpezzo.intersection import he
-from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle,
+from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle, Opaque,
                           RECORDED, TwistedStructureSheaf, is_perfect,
                           missing_pairs, node_text, query_complete_orthogonality,
                           record_decomposition, standard_opaque, tensor,
@@ -100,9 +100,10 @@ def test_twist_closure_never_crosses_kinds():
     assert not store.has(O(1, -1), TwistedStructureSheaf("D", he(2, 0)))
 
 
-def test_opaque_equality_ignores_embedding_tag():
+def test_opaque_equality_is_by_name():
     a = standard_opaque("A_C")
-    b = a.with_tag("left mutation through O(-h)")
+    b = Opaque("A_C")
+    assert a.perfect is True and b.perfect is None
     assert a == b
     assert hash(a) == hash(b)
     assert a != standard_opaque("A_Q")
@@ -143,4 +144,3 @@ def test_tensor_and_node_text():
     assert node_text(O(0, -1), basis="hD", d=4) == "O(D-2h)"
     cat = tensor(standard_opaque("A_C"), he(1, 0))
     assert cat == standard_opaque("A_C")
-    assert "tensor" in cat.embedding_tag

@@ -184,6 +184,18 @@ def test_defect_invariant_under_recoordinatization(space, degree, nodes):
         assert defect(moved) == base
 
 
+@pytest.mark.parametrize("matrix", [
+    # identity on P^4 padded by a zero row and column: singular as a whole
+    [[int(i == j < 5) for j in range(6)] for i in range(6)],
+    [[1, 0], [0, 1]],
+    [[1, 0, 0, 0, 0]] * 4 + [[0, 0, 0, 0]],
+])
+def test_linear_change_rejects_a_matrix_of_the_wrong_shape(matrix):
+    hyp = build_nodal_hypersurface(P4, 3, [E4])
+    with pytest.raises(ValueError, match="matrix must be 5 x 5"):
+        apply_linear_change(hyp, matrix)
+
+
 def test_enumerate_monomials_returns_a_fresh_list():
     mons = enumerate_monomials(P11123, 4)
     mons.clear()
