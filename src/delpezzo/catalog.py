@@ -117,7 +117,5 @@ def enumerate_degenerations(d: int, total_nodes: int) -> list[DegenerationCase]:
     if not 0 <= total_nodes <= budget:
         raise BudgetExceeded(
             f"degree-5 threefolds carry at most {budget} nodes")
-    cases = [DegenerationCase(c, q, _A_C_SHAPE[c], _A_Q_SHAPE[q])
-             for c in (2, 1, 0) for q in (0, 1)
-             if c + q == total_nodes]
-    return sorted(cases, key=lambda case: -case.nodes_c)
+    return [DegenerationCase(c, q, _A_C_SHAPE[c], _A_Q_SHAPE[q])
+            for c in (2, 1, 0) for q in (0, 1) if c + q == total_nodes]

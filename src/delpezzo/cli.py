@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     call; parse_args leaves it unchanged and returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the hypersurface coefficient draw")
     common.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     common.add_argument("--quiet", action="store_true",
@@ -236,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect", parents=[common],
                        help="defect report of a nodal hypersurface instance")
     p.add_argument("instance", help="a .hyp instance file")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the hypersurface coefficient draw")
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("replay", parents=[common],

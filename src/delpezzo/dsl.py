@@ -32,7 +32,7 @@ from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, he,
 from .mutations import RULES, SLOT, MutationRule, ReplayScript
 from .quivers import Quiver
 from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
-                  node_text, standard_opaque)
+                  decomposition_text, standard_opaque)
 from .wps import NodalHypersurface, WeightedSpace, enumerate_monomials
 
 _NODE_RE = re.compile(r"^(O_E|O_D|O|CAT)\((.*)\)$")
@@ -92,6 +92,7 @@ class _Line:
 
     def __init__(self, number: int, text: str):
         self.number = number
+        self.text = text
         self.tokens: list[tuple[str, int]] = [
             (m.group(0), m.start() + 1) for m in re.finditer(r"\S+", text)]
         self.pos = 0
@@ -126,20 +127,22 @@ def _strip_comment(text: str) -> str:
 
 
 def _parse_decomposition(ln: _Line, d: int | None, ambient: str) -> Decomposition:
-    # the literal is the rest of the line: rejoin and split on <, ',', >
+    # the literal is the rest of the line: split it on <, ',', >
     tok = ln.peek()
     if tok is None:
         raise ScriptSyntaxError(ln.number, 1, "a decomposition literal")
-    text = " ".join(t for t, _ in ln.tokens[ln.pos:])
     col = tok[1]
+    text = ln.text[col - 1:].rstrip()
     ln.pos = len(ln.tokens)
     if not (text.startswith("<") and text.endswith(">")):
         raise ScriptSyntaxError(ln.number, col, "a literal of the form <...>")
-    inner = text[1:-1].strip()
-    if not inner:
+    if not text[1:-1].strip():
         raise ScriptSyntaxError(ln.number, col + 1, "at least one node")
-    nodes = [parse_node(part.strip(), d, ln.number, col)
-             for part in inner.split(",")]
+    nodes, start = [], col + 1
+    for part in text[1:-1].split(","):
+        lead = len(part) - len(part.lstrip())
+        nodes.append(parse_node(part.strip(), d, ln.number, start + lead))
+        start += len(part) + 1
     return Decomposition(ambient, tuple(nodes))
 
 
@@ -233,16 +236,11 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
 
 def render_script(script: ReplayScript) -> str:
     """Canonical text of a script; parsing it back gives an equal structure."""
-    basis = script.display_basis
-    d = script.d
-
-    def dec_text(dec: Decomposition) -> str:
-        return "<" + ", ".join(node_text(n, basis, d) for n in dec.nodes) + ">"
-
-    out = [f"ambient Y d={script.d}"]
-    out += [f"axiom {dec_text(a)}" for a in script.axioms]
+    basis, d = script.display_basis, script.d
+    out = [f"ambient Y d={d}"]
+    out += [f"axiom {decomposition_text(a, basis, d)}" for a in script.axioms]
     out += [r.text() for r in script.rules]
-    out.append(f"expect {dec_text(script.expected)}")
+    out.append(f"expect {decomposition_text(script.expected, basis, d)}")
     return "\n".join(out) + "\n"
 
 

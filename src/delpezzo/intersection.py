@@ -75,9 +75,6 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return self.coords == (0, 0)
-
 
 def he(a: int, b: int) -> DivisorClass:
     """Class a*H + b*E."""
@@ -91,7 +88,6 @@ def hd(a: int, b: int) -> DivisorClass:
 
 H = he(1, 0)
 E = he(0, 1)
-ZERO_HE = he(0, 0)
 
 
 def rewrite(cls: DivisorClass, target_basis: str, d: int) -> DivisorClass:

@@ -43,9 +43,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(nr, nc, tuple(int(x) for r in rows for x in r))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]

@@ -23,14 +23,15 @@ Six rule families are implemented:
                      abstract identity.
 
 ``RULES`` is the one registry of the families: each rule id maps to its
-script grammar template and its applier.  ``MutationRule.text`` renders
-the template, the script parser walks its tokens, and replay dispatches
-through it, so rendering and parsing agree by construction.
+script grammar template, its applier and the number of nodes its position
+addresses.  ``MutationRule.text`` renders the template, the script parser
+walks its tokens, and replay checks the position and dispatches through
+it, so rendering and parsing agree by construction.
 
 Every application either fails with a named side-condition error or yields
 a new decomposition whose backwards Hom-vanishing facts are recorded into
-the store.  All divisor classes are reduced to the {H, E} basis eagerly,
-so final states compare syntactically.
+the store.  Node classes are in the {H, E} basis by construction, so final
+states compare by value.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass,
                            canonical_class, class_text, he, rewrite)
 from .sod import (AXIOM, Decomposition, DISPLAY_NAMES, FactStore, LineBundle,
                   Opaque, PUSHFORWARD, RECORDED, SodNode, TwistedStructureSheaf,
-                  decomposition_text, is_perfect, node_text,
+                  _twist, decomposition_text, is_perfect, node_text,
                   query_complete_orthogonality, record_decomposition,
-                  standard_opaque, tensor)
+                  standard_opaque, tensor, vanish_text)
 
 # A template slot: {field} is an integer, {field:a|b} one of the listed
 # words, {field:*} any word.
@@ -115,8 +116,11 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
             LineBundle(he(0, 0)),
             LineBundle(he(1, 0)),
         )
-    if center == "C" and d == 4:
-        h = rewrite(DivisorClass(BASIS_hD, (1, 0)), BASIS_HE, 4)
+    if center != "C" or d not in (4, 5):
+        return None
+    geom = BlowupGeometry(d)
+    h = geom.divisor_generator("h")
+    if d == 4:
         return (
             standard_opaque("DbC"),
             LineBundle(-1 * h),
@@ -124,18 +128,14 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
             LineBundle(h),
             LineBundle(2 * h),
         )
-    if center == "C" and d == 5:
-        h = rewrite(DivisorClass(BASIS_hD, (1, 0)), BASIS_HE, 5)
-        dd = rewrite(DivisorClass(BASIS_hD, (0, 1)), BASIS_HE, 5)
-        return (
-            standard_opaque("A_C"),
-            TwistedStructureSheaf("D", dd - h),      # O_D(D-h)
-            standard_opaque("A_Q"),
-            LineBundle(-1 * h),
-            LineBundle(he(0, 0)),
-            LineBundle(h),
-        )
-    return None
+    return (
+        standard_opaque("A_C"),
+        TwistedStructureSheaf("D", geom.divisor_generator("D") - h),  # O_D(D-h)
+        standard_opaque("A_Q"),
+        LineBundle(-1 * h),
+        LineBundle(he(0, 0)),
+        LineBundle(h),
+    )
 
 
 # -- pushforward vanishing oracle -------------------------------------------
@@ -168,18 +168,12 @@ def pushforward_vanishing(geom: BlowupGeometry, source: DivisorClass,
 
 # -- rule application -------------------------------------------------------
 
-def _check_range(cond: bool, what: str) -> None:
-    if not cond:
-        raise PositionOutOfRange(what)
-
-
 def _all_perfect(nodes) -> bool:
     return all(is_perfect(n) is True for n in nodes)
 
 
 def _apply_expand(nodes, rule, geom, store):
     i = rule.position
-    _check_range(1 <= i <= len(nodes), f"position {i} outside 1..{len(nodes)}")
     node = nodes[i - 1]
     if not (isinstance(node, Opaque) and node.name == "DbY"):
         raise SideConditionFailed(
@@ -202,8 +196,6 @@ def _apply_expand(nodes, rule, geom, store):
 def _apply_serre(nodes, rule, geom, store):
     i, j = rule.position, rule.position_end
     m = len(nodes)
-    _check_range(j is not None and 1 <= i <= j <= m,
-                 f"block {i}..{j} outside 1..{m}")
     k = canonical_class(geom.d)
     if rule.direction == "left":
         if i != 1 or j >= m:
@@ -234,39 +226,29 @@ def _apply_serre(nodes, rule, geom, store):
     return out, ev, RECORDED
 
 
-def _triangle_form(pair, s_class: DivisorClass, support: str) -> tuple[int, DivisorClass] | None:
-    """Match an adjacent pair against the three presentations of the
-    twisted restriction triangle; returns (form index, twist A)."""
-    first, second = pair
-    if isinstance(first, LineBundle) and isinstance(second, LineBundle):
-        if second.divisor - first.divisor == s_class:
-            return 1, second.divisor                      # <O(A-S), O(A)>
-    if (isinstance(first, LineBundle)
-            and isinstance(second, TwistedStructureSheaf)
-            and second.support == support
-            and second.twist == first.divisor):
-        return 2, first.divisor                           # <O(A), O_S(A)>
-    if (isinstance(first, TwistedStructureSheaf)
-            and first.support == support
-            and isinstance(second, LineBundle)
-            and first.twist - second.divisor == s_class):
-        return 3, first.twist                             # <O_S(A), O(A-S)>
-    return None
-
-
 def _triangle_pair(form: int, a: DivisorClass, s_class: DivisorClass,
                    support: str):
+    """Presentation `form` of the twisted restriction triangle of S."""
     if form == 1:
-        return [LineBundle(a - s_class), LineBundle(a)]
+        return [LineBundle(a - s_class), LineBundle(a)]             # <O(A-S), O(A)>
     if form == 2:
-        return [LineBundle(a), TwistedStructureSheaf(support, a)]
-    return [TwistedStructureSheaf(support, a), LineBundle(a - s_class)]
+        return [LineBundle(a), TwistedStructureSheaf(support, a)]   # <O(A), O_S(A)>
+    return [TwistedStructureSheaf(support, a), LineBundle(a - s_class)]  # <O_S(A), O(A-S)>
+
+
+def _triangle_form(pair, s_class: DivisorClass, support: str) -> tuple[int, DivisorClass] | None:
+    """Match an adjacent pair against the three presentations; returns
+    (form index, twist A).  A is the class of the second node in form 1
+    and of the first node in forms 2 and 3."""
+    for form, node in ((1, pair[1]), (2, pair[0]), (3, pair[0])):
+        twist = _twist(node)
+        if twist and _triangle_pair(form, twist[1], s_class, support) == pair:
+            return form, twist[1]
+    return None
 
 
 def _apply_triangle(nodes, rule, geom, store):
     i = rule.position
-    m = len(nodes)
-    _check_range(1 <= i <= m - 1, f"pair position {i} outside 1..{m - 1}")
     support = rule.support or ""
     if support not in ("E", "D"):
         raise SideConditionFailed("triangle_exchange",
@@ -275,7 +257,7 @@ def _apply_triangle(nodes, rule, geom, store):
         s_class = geom.divisor_generator(support)
     except NoRelationsForDegree as exc:
         raise SideConditionFailed("triangle_exchange", str(exc)) from exc
-    pair = (nodes[i - 1], nodes[i])
+    pair = nodes[i - 1:i + 1]
     match = _triangle_form(pair, s_class, support)
     if match is None:
         raise SideConditionFailed(
@@ -295,8 +277,6 @@ def _apply_triangle(nodes, rule, geom, store):
 
 def _apply_swap(nodes, rule, geom, store):
     i = rule.position
-    m = len(nodes)
-    _check_range(1 <= i <= m - 1, f"pair position {i} outside 1..{m - 1}")
     a, b = nodes[i - 1], nodes[i]
     ev = []
     for x, y in ((a, b), (b, a)):
@@ -305,8 +285,7 @@ def _apply_swap(nodes, rule, geom, store):
                 and isinstance(y, TwistedStructureSheaf) \
                 and pushforward_vanishing(geom, x.divisor, y):
             store.add(x, y, PUSHFORWARD)
-            found = (f"Vanish({node_text(x)} -> {node_text(y)}) "
-                     f"[{PUSHFORWARD}: ruling fiber degree -1]")
+            found = vanish_text(x, y, f"{PUSHFORWARD}: ruling fiber degree -1")
         if found is None:
             raise SideConditionFailed(
                 "swap", f"Vanish({node_text(x)} -> {node_text(y)}) is not "
@@ -319,8 +298,6 @@ def _apply_swap(nodes, rule, geom, store):
 
 def _apply_rebase(nodes, rule, geom, store):
     i = rule.position
-    m = len(nodes)
-    _check_range(1 <= i <= m - 1, f"pair position {i} outside 1..{m - 1}")
     a, b = nodes[i - 1], nodes[i]
     if not (isinstance(a, TwistedStructureSheaf)
             and isinstance(b, TwistedStructureSheaf)
@@ -349,8 +326,6 @@ def _apply_rebase(nodes, rule, geom, store):
 
 def _apply_transpose(nodes, rule, geom, store):
     i = rule.position
-    m = len(nodes)
-    _check_range(1 <= i <= m, f"position {i} outside 1..{m}")
     node = nodes[i - 1]
     if not isinstance(node, Opaque):
         raise SideConditionFailed(
@@ -361,7 +336,7 @@ def _apply_transpose(nodes, rule, geom, store):
         other = nodes[i - 2]
         out = nodes[:i - 2] + [node, other] + nodes[i:]
     elif rule.direction == "right":
-        if i > m - 1:
+        if i == len(nodes):
             raise SideConditionFailed("opaque_transpose", "no right neighbor")
         other = nodes[i]
         out = nodes[:i - 1] + [other, node] + nodes[i + 1:]
@@ -373,18 +348,19 @@ def _apply_transpose(nodes, rule, geom, store):
     return out, ev, RECORDED
 
 
-# rule id -> (script grammar template, applier(nodes, rule, geom, store))
+# rule id -> (script grammar template, applier(nodes, rule, geom, store),
+# nodes the position addresses: 1, 2 for a pair, 0 for a block i..j)
 RULES = {
     "expand_blowup": ("expand_blowup at {position} center {center:*} codim {codim}",
-                      _apply_expand),
+                      _apply_expand, 1),
     "serre_rotate": ("serre_rotate {direction:left|right} at {position}..{position_end}",
-                     _apply_serre),
+                     _apply_serre, 0),
     "triangle_exchange": ("triangle_exchange at {position} support {support:E|D} "
-                          "direction {direction}", _apply_triangle),
-    "swap": ("swap at {position}", _apply_swap),
-    "fiber_rebase": ("fiber_rebase at {position} shift {shift:+F|-F}", _apply_rebase),
+                          "direction {direction}", _apply_triangle, 2),
+    "swap": ("swap at {position}", _apply_swap, 2),
+    "fiber_rebase": ("fiber_rebase at {position} shift {shift:+F|-F}", _apply_rebase, 2),
     "opaque_transpose": ("opaque_transpose at {position} {direction:left|right}",
-                         _apply_transpose),
+                         _apply_transpose, 1),
 }
 
 
@@ -392,7 +368,14 @@ def _apply(dec: Decomposition, rule: MutationRule, store: FactStore,
            geom: BlowupGeometry):
     if rule.rule_id not in RULES:
         raise SideConditionFailed(rule.rule_id, "unknown rule")
-    out, ev, prov = RULES[rule.rule_id][1](list(dec.nodes), rule, geom, store)
+    _, applier, span = RULES[rule.rule_id]
+    i, j, m = rule.position, rule.position_end, len(dec.nodes)
+    if span == 0 and not (j is not None and 1 <= i <= j <= m):
+        raise PositionOutOfRange(f"block {i}..{j} outside 1..{m}")
+    if span and not 1 <= i <= m - span + 1:
+        raise PositionOutOfRange(("pair " if span == 2 else "")
+                                 + f"position {i} outside 1..{m - span + 1}")
+    out, ev, prov = applier(list(dec.nodes), rule, geom, store)
     new_dec = Decomposition(dec.ambient, tuple(out))
     facts = record_decomposition(new_dec, store, prov)
     return new_dec, ev, facts
@@ -436,15 +419,8 @@ class AuditLog:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "script": self.script,
-            "ambient": self.ambient,
-            "steps": [
-                {"index": e.index, "rule": e.rule, "evidence": list(e.evidence),
-                 "result": e.result, "facts_added": list(e.facts_added)}
-                for e in self.entries
-            ],
-        }
+        return {"script": self.script, "ambient": self.ambient,
+                "steps": [dict(vars(e)) for e in self.entries]}
 
 
 def _diff(found: Decomposition, expected: Decomposition) -> list[str]:

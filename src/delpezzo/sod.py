@@ -9,10 +9,13 @@ already known to be valid, the pushforward vanishing oracle of the mutation
 engine, and twist closure (Vanish(x, y) implies Vanish(x(t), y(t)) for a
 common line-bundle twist t).  No Ext group is ever computed from sheaf data.
 
-Twist closure is built into the fact keys: a pair of twistable nodes is
-stored by the difference of their classes, which is exactly the invariant
-of a common twist.  Facts with an opaque member only match on the nose:
-an opaque node is known by its name alone, and mutating it keeps the name.
+A node's value is its identity.  Line bundles and twisted structure
+sheaves carry {H, E} classes by construction, and an opaque node is known
+by its name alone (mutating it keeps the name).  Twist closure is built
+into the fact keys: a pair of twistable nodes is stored by the difference
+of their classes, which is exactly the invariant of a common twist.  Facts
+with an opaque member only match on the nose.  The store keeps each fact's
+nodes and renders text only when asked.
 """
 
 from __future__ import annotations
@@ -40,9 +43,18 @@ class KProfile:
 LINE_BUNDLE_PROFILE = KProfile(1, 0)
 
 
+def _require_he(cls: DivisorClass) -> None:
+    if cls.basis_id != BASIS_HE:
+        raise UnknownBasis(f"a node class must be in the {{H, E}} basis, "
+                           f"got {class_text(cls)}")
+
+
 @dataclass(frozen=True)
 class LineBundle:
     divisor: DivisorClass
+
+    def __post_init__(self):
+        _require_he(self.divisor)
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,7 @@ class TwistedStructureSheaf:
     def __post_init__(self):
         if self.support not in ("E", "D"):
             raise ValueError(f"support must be 'E' or 'D', got {self.support!r}")
+        _require_he(self.twist)
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ def node_text(node: SodNode, basis: str = BASIS_HE, d: int | None = None) -> str
     """Parseable literal for a node, optionally rendered in the {h, D} basis."""
 
     def cls_text(c: DivisorClass) -> str:
-        if basis != c.basis_id:
+        if basis != BASIS_HE:
             if d is None:
                 raise UnknownBasis("rendering in another basis needs the degree")
             c = rewrite(c, basis, d)
@@ -141,24 +154,13 @@ def decomposition_text(dec: Decomposition, basis: str = BASIS_HE,
     return "<" + ", ".join(node_text(n, basis, d) for n in dec.nodes) + ">"
 
 
-def _node_key(node: SodNode):
+def _twist(node: SodNode) -> tuple[str, DivisorClass] | None:
+    """(kind, class) of a twistable node; None for an opaque one."""
     if isinstance(node, LineBundle):
-        return ("O", node.divisor.basis_id, node.divisor.coords)
+        return "O", node.divisor
     if isinstance(node, TwistedStructureSheaf):
-        return ("O_" + node.support, node.twist.basis_id, node.twist.coords)
-    return ("CAT", node.name)
-
-
-def _twistable(node: SodNode) -> bool:
-    return not isinstance(node, Opaque)
-
-
-def _node_class(node: SodNode) -> DivisorClass:
-    return node.divisor if isinstance(node, LineBundle) else node.twist
-
-
-def _kind(node: SodNode) -> str:
-    return "O" if isinstance(node, LineBundle) else "O_" + node.support
+        return "O_" + node.support, node.twist
+    return None
 
 
 def vanish_key(x: SodNode, y: SodNode):
@@ -167,18 +169,24 @@ def vanish_key(x: SodNode, y: SodNode):
     For a pair of twistable nodes the key depends only on the class
     difference, which makes twist closure automatic, involutive and
     additive under composed twists.  Pairs involving an opaque node match
-    exactly by name.
+    exactly, by value.  Node classes share the {H, E} basis, so the
+    difference is taken on raw coordinates.
     """
-    if _twistable(x) and _twistable(y):
-        diff = _node_class(y) - _node_class(x)
-        return ("tw", _kind(x), _kind(y), diff.basis_id, diff.coords)
-    return ("exact", _node_key(x), _node_key(y))
+    tx, ty = _twist(x), _twist(y)
+    if tx is None or ty is None:
+        return ("exact", x, y)
+    (a, b), (c, e) = tx[1].coords, ty[1].coords
+    return ("tw", tx[0], ty[0], c - a, e - b)
+
+
+def vanish_text(x: SodNode, y: SodNode, provenance: str) -> str:
+    return f"Vanish({node_text(x)} -> {node_text(y)}) [{provenance}]"
 
 
 @dataclass
 class _Fact:
-    x_text: str
-    y_text: str
+    x: SodNode
+    y: SodNode
     provenance: str
 
 
@@ -196,7 +204,7 @@ class FactStore:
         key = vanish_key(x, y)
         if key in self._by_key:
             return False
-        self._by_key[key] = _Fact(node_text(x), node_text(y), provenance)
+        self._by_key[key] = _Fact(x, y, provenance)
         return True
 
     def has(self, x: SodNode, y: SodNode) -> bool:
@@ -208,13 +216,13 @@ class FactStore:
         fact = self._by_key.get(vanish_key(x, y))
         if fact is None:
             return None
-        base = f"Vanish({fact.x_text} -> {fact.y_text}) [{fact.provenance}]"
-        if _twistable(x) and fact.x_text != node_text(x):
-            return base + f" ({TWIST_CLOSURE} at {node_text(x)} -> {node_text(y)})"
-        return base
+        text = vanish_text(fact.x, fact.y, fact.provenance)
+        if fact.x != x:
+            return text + f" ({TWIST_CLOSURE} at {node_text(x)} -> {node_text(y)})"
+        return text
 
     def dump(self) -> list[str]:
-        lines = [f"vanish {f.x_text} -> {f.y_text}  [{f.provenance}]"
+        lines = [f"vanish {node_text(f.x)} -> {node_text(f.y)}  [{f.provenance}]"
                  for f in self._by_key.values()]
         return sorted(lines)
 
@@ -231,8 +239,7 @@ def record_decomposition(dec: Decomposition, store: FactStore,
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             if store.add(nodes[j], nodes[i], provenance):
-                added.append(f"Vanish({node_text(nodes[j])} -> "
-                             f"{node_text(nodes[i])}) [{provenance}]")
+                added.append(vanish_text(nodes[j], nodes[i], provenance))
     return added
 
 

@@ -55,6 +55,8 @@ Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
 Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebra
 
+MAX_TRIES = 64   # coefficient draws the builder makes before giving up
+
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -259,6 +261,9 @@ def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     norm: list[Point] = []
     for raw in nodes:
         p = tuple(map(_fraction, raw))
+        if len(p) != len(space.weights):
+            raise ValueError(f"node {raw} has {len(p)} coordinates, "
+                             f"expected {len(space.weights)}")
         if all(c == 0 for c in p):
             raise ValueError("the zero tuple is not a point")
         if space.is_singular_point(p):
@@ -287,13 +292,12 @@ def _node_constraint_rows(monos: list[Mono],
 
 
 def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
-                             seed: int = 0,
-                             max_tries: int = 64) -> NodalHypersurface:
+                             seed: int = 0) -> NodalHypersurface:
     """Solve for a form with prescribed nodes.
 
     Vanishing of the form and its gradient at each node is an exact linear
     system on the coefficients; a seeded pseudo-random element of its
-    solution space is drawn and redrawn (bounded retries) until the chart
+    solution space is drawn and redrawn (MAX_TRIES draws) until the chart
     Hessian has full rank at every node.  The system is assembled at the
     nodes' integer representatives, which scales each row and leaves the
     kernel unchanged; draws mix the kernel scaled to integers, and only the
@@ -316,7 +320,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     columns = list(zip(*([x.numerator * (den // x.denominator) for x in v]
                          for v in kernel)))
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         mix = [rng.randint(-9, 9) for _ in kernel]
         if not any(mix):
             continue
@@ -328,7 +332,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, den) for c in coeffs), norm)
     raise NodalityFailed(
-        f"no draw out of {max_tries} gave rank-{space.dim} Hessians at all "
+        f"no draw out of {MAX_TRIES} gave rank-{space.dim} Hessians at all "
         "nodes; choose different nodes")
 
 
@@ -357,8 +361,6 @@ def defect(x: NodalHypersurface) -> DefectReport:
             f"adjoint twist has degree {l_deg}; formula does not apply")
     monos = enumerate_monomials(x.ambient, l_deg)
     h0 = len(monos)
-    if x.mu == 0:
-        return DefectReport(0, h0, 0, 0)
     points = [_integral(x.ambient, p) for p in x.nodes]
     rows = [[prod(map(pow, q, e)) for e in monos] for q in points]
     eval_rank = lattice.rank(lattice.from_rational_rows(rows))

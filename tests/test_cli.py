@@ -25,6 +25,13 @@ def run_module(*argv, timeout=60):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+def test_seed_belongs_to_defect_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "d=5", "nodes=2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_gate_subcommand(capsys):
     code, out, _ = run(capsys, "gate", "d=5", "nodes=2")
     assert code == 0
@@ -109,7 +116,7 @@ def test_hd_literal_without_relations_names_its_position(tmp_path, capsys):
     bad.write_text("ambient Y d=6\naxiom <CAT(DbY)>\nexpect <O(0), O(h)>\n")
     code, _, err = run(capsys, "replay", str(bad))
     assert code == 2
-    assert err == ("error [NoRelationsForDegree/22]: line 3, col 8: "
+    assert err == ("error [NoRelationsForDegree/22]: line 3, col 15: "
                    "no hD relations registered for degree 6\n")
 
 

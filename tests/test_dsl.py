@@ -60,6 +60,16 @@ def test_misspelled_keyword_reports_position():
     assert err.value.col == 6
 
 
+@pytest.mark.parametrize("literal, col", [
+    ("<O(0), O(0), Q(H)>", 20), ("<Q(H), O(0)>", 8), ("<O(0),   Q(H)>", 16),
+    ("<O(0),, O(H)>", 13), ("<O(0), O(2q)>", 16)])
+def test_node_error_names_the_node_column(literal, col):
+    text = f"ambient Y d=5\naxiom {literal}\nexpect <CAT(DbY)>\n"
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_empty_script_is_rejected():
     with pytest.raises(ScriptSyntaxError) as err:
         parse_script("")

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo.intersection import he
+from delpezzo.errors import UnknownBasis
+from delpezzo.intersection import he, hd
 from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle, Opaque,
                           RECORDED, TwistedStructureSheaf, is_perfect,
                           missing_pairs, node_text, query_complete_orthogonality,
@@ -144,3 +146,25 @@ def test_tensor_and_node_text():
     assert node_text(O(0, -1), basis="hD", d=4) == "O(D-2h)"
     cat = tensor(standard_opaque("A_C"), he(1, 0))
     assert cat == standard_opaque("A_C")
+
+
+def test_describe_and_dump_texts():
+    store = FactStore()
+    store.add(O(0, -1), O(-1, 1), AXIOM)
+    store.add(standard_opaque("A_C"), O(0, 0), RECORDED)
+    assert store.describe(O(0, -1), O(-1, 1)) == "Vanish(O(-E) -> O(E-H)) [axiom]"
+    assert store.describe(O(1, -2), O(0, 0)) == (
+        "Vanish(O(-E) -> O(E-H)) [axiom] (twist-closure at O(H-2E) -> O(0))")
+    assert store.describe(Opaque("A_C"), O(0, 0)) == \
+        "Vanish(CAT(A_C) -> O(0)) [recorded-from-decomposition]"
+    assert store.describe(O(0, 0), O(1, 0)) is None
+    assert store.dump() == [
+        "vanish CAT(A_C) -> O(0)  [recorded-from-decomposition]",
+        "vanish O(-E) -> O(E-H)  [axiom]"]
+
+
+def test_node_classes_are_he_by_construction():
+    with pytest.raises(UnknownBasis):
+        LineBundle(hd(1, 0))
+    with pytest.raises(UnknownBasis):
+        TwistedStructureSheaf("D", hd(0, 1))

@@ -104,6 +104,14 @@ def test_duplicate_nodes_rejected():
         build_nodal_hypersurface(P4, 3, [(0, 0, 0, 1, 1), (0, 0, 0, 2, 2)])
 
 
+@pytest.mark.parametrize("node", [(1, 0, 0), (1, 0, 0, 0, 0, 0)])
+def test_node_of_wrong_length_rejected(node):
+    with pytest.raises(ValueError, match="expected 5"):
+        build_nodal_hypersurface(P4, 3, [node])
+    with pytest.raises(ValueError, match="expected 5"):
+        NodalHypersurface.checked(P4, 3, [1] + [0] * 34, [node])
+
+
 def test_empty_node_list_gives_smooth_candidate():
     hyp = build_nodal_hypersurface(P4, 3, [])
     assert hyp.mu == 0
