@@ -12,7 +12,7 @@ from .catalog import (DelPezzoEntry, DegenerationCase, enumerate_degenerations,
 from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass,
                            canonical_class, he, hd, iskovskikh_degree, rewrite,
                            triple)
-from .ktheory import (ComponentModel, GateVerdict, consistency_check,
+from .ktheory import (ComponentModel, GateVerdict, KProfile, consistency_check,
                       k_minus1_total, k0_total, kawamata_gate, standard_models)
 from .lattice import IntMatrix, rank, rational_nullspace
 from .mutations import (AuditLog, Equivalence, MutationRule, ReplayScript,
@@ -20,7 +20,7 @@ from .mutations import (AuditLog, Equivalence, MutationRule, ReplayScript,
                         replay)
 from .quivers import (PathAlgebraReport, Quiver, cartan_matrix, double_burban,
                       k0_rank, path_basis, single_burban)
-from .sod import (Decomposition, FactStore, KProfile, LineBundle, Opaque,
+from .sod import (Decomposition, FactStore, LineBundle, Opaque,
                   SodNode, TwistedStructureSheaf, query_complete_orthogonality,
                   record_decomposition, validate)
 from .wps import (DefectReport, NodalHypersurface, WeightedSpace,

@@ -4,7 +4,8 @@ enumerator for the degree-5 family.
 Degrees run from 1 to 8 with an extra product variant in degree 6.  Nodal
 members exist for degrees 1 through 6; the projection-from-a-line picture
 records, for degrees 4 to 6, the image fibration, the bidegree of the
-blow-down center on the exceptional quadric, and the node budget.
+blow-down center on the exceptional quadric, and the node budget.  The two
+degree-5 piece tables are the one source of those pieces' shapes and quivers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, OutOfRangeDegree, UnknownDegree, UnsupportedDegree
+from .quivers import double_burban, single_burban
 
 
 @dataclass(frozen=True)
@@ -28,13 +30,6 @@ class DelPezzoEntry:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DelPezzoEntry":
-        data = dict(data)
-        if data.get("curve_bidegree") is not None:
-            data["curve_bidegree"] = tuple(data["curve_bidegree"])
-        return cls(**data)
 
 
 ENTRIES: tuple[DelPezzoEntry, ...] = (
@@ -91,12 +86,14 @@ def singularity_budget(d: int) -> tuple[int, str]:
     return entry.max_nodes, entry.singularity_note
 
 
-# Chain shapes of the degree-5 blow-down center: the center is modeled as a
-# chain of at most three smooth rational curves, so it carries at most two
-# nodes, and the image quadric is smooth or has one node.
-_A_C_SHAPE = {0: "exceptional object", 1: "single 2-vertex algebra",
-              2: "3-vertex chain algebra"}
-_A_Q_SHAPE = {0: "exceptional pair piece", 1: "single 2-vertex algebra"}
+# The degree-5 pieces by node count, each (shape, Burban quiver or None): the
+# center is a chain of at most three smooth rational curves, so it carries at
+# most two nodes, and the image quadric is smooth or has one node.
+CENTER_PIECES = (("exceptional object", None),
+                 ("single 2-vertex algebra", single_burban),
+                 ("3-vertex chain algebra", double_burban))
+QUADRIC_PIECES = (("exceptional pair piece", None),
+                  ("single 2-vertex algebra", single_burban))
 
 
 @dataclass(frozen=True)
@@ -117,5 +114,6 @@ def enumerate_degenerations(d: int, total_nodes: int) -> list[DegenerationCase]:
     if not 0 <= total_nodes <= budget:
         raise BudgetExceeded(
             f"degree-5 threefolds carry at most {budget} nodes")
-    return [DegenerationCase(c, q, _A_C_SHAPE[c], _A_Q_SHAPE[q])
-            for c in (2, 1, 0) for q in (0, 1) if c + q == total_nodes]
+    return [DegenerationCase(c, q, CENTER_PIECES[c][0], QUADRIC_PIECES[q][0])
+            for c in reversed(range(len(CENTER_PIECES)))
+            for q in range(len(QUADRIC_PIECES)) if c + q == total_nodes]

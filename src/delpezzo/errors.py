@@ -124,6 +124,11 @@ class InfiniteDimensional(InputFault):
     code = 41
 
 
+class BasisTooLarge(InputFault):
+    """A finite path algebra whose basis exceeds ``quivers.MAX_BASIS``."""
+    code = 42
+
+
 # -- K-theory gate --------------------------------------------------------
 
 class UnmodeledComponent(InputFault):

@@ -5,7 +5,7 @@ Two integer bases are registered for the rank-2 lattice spanned by divisor
 classes that matter here: {H, E} (pullback of the polarization and the
 exceptional divisor of the line blow-up) and, for degrees 4 and 5, {h, D}
 (pullback of the hyperplane from the projection image and the exceptional
-divisor of the blow-down to it).  The trilinear intersection form is stored
+divisor of the blow-down to it).  The trilinear intersection form is given
 on {H, E}:
 
     H^3 = d,  H^2.E = 0,  H.E^2 = -1,  E^3 = 0.
@@ -142,15 +142,6 @@ class BlowupGeometry:
         if self.d not in (4, 5, 6):
             raise OutOfRangeDegree(f"degree must be 4, 5 or 6, got {self.d}")
 
-    @property
-    def ambient(self) -> str:
-        return f"Y{self.d}"
-
-    def generator_triple(self, i: int, j: int, k: int) -> int:
-        """Product of basis generators; index 0 is H, index 1 is E."""
-        n_e = (i == 1) + (j == 1) + (k == 1)
-        return (self.d, 0, -1, 0)[n_e]
-
     def divisor_generator(self, name: str) -> DivisorClass:
         """Class of a named divisor (H, E, h or D) in {H, E} coordinates."""
         if name == "H":
@@ -169,26 +160,17 @@ class BlowupGeometry:
 
 def triple(geom: BlowupGeometry, a: DivisorClass, b: DivisorClass,
            c: DivisorClass) -> int:
-    """Trilinear intersection number, symmetric and Z-linear in each slot."""
-    av, bv, cv = (geom.to_he(x).coords for x in (a, b, c))
-    total = 0
-    for i in range(2):
-        if not av[i]:
-            continue
-        for j in range(2):
-            if not bv[j]:
-                continue
-            for k in range(2):
-                if cv[k]:
-                    total += av[i] * bv[j] * cv[k] * geom.generator_triple(i, j, k)
-    return total
+    """Trilinear intersection number, symmetric and Z-linear in each slot:
+    H^3 = d, H.E^2 = -1 and H^2.E = E^3 = 0 written out on {H, E}."""
+    (a0, a1), (b0, b1), (c0, c1) = (geom.to_he(x).coords for x in (a, b, c))
+    return geom.d * a0 * b0 * c0 - (a0 * b1 * c1 + a1 * b0 * c1 + a1 * b1 * c0)
 
 
 def iskovskikh_degree(d: int) -> int:
     """Degree of the image of projection from a standard line.
 
     Evaluates H^3 - (3H + K_V).L + 2g - 2 with H.L = 1, K_V.L = -2 and
-    g = 0, and asserts agreement with (H-E)^3 from the stored products.
+    g = 0, and asserts agreement with (H-E)^3 from the intersection form.
     """
     geom = BlowupGeometry(d)
     value = d - (3 * 1 + (-2)) + 2 * 0 - 2

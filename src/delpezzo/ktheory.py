@@ -5,9 +5,10 @@ The negative K-group of a reduced nodal curve contributes one rank per
 node; that rank survives in any indecomposable component containing the
 curve's derived category and obstructs decompositions into derived
 categories of finite-dimensional algebras.  This module assigns profiles
-to the opaque components appearing in the replayed decompositions, sums
-them, and reproduces the existence verdict: among nodal degrees 1..6,
-decompositions of the Kawamata kind exist exactly for degrees 5 and 6.
+to the opaque components appearing in the replayed decompositions (the
+degree-5 pieces from the catalog's tables), sums them, and reproduces the
+existence verdict: among nodal degrees 1..6, decompositions of the Kawamata
+kind exist exactly for degrees 5 and 6.
 """
 
 from __future__ import annotations
@@ -15,9 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .catalog import CENTER_PIECES, QUADRIC_PIECES, lookup
 from .errors import InvalidDegree, SmoothInput, UnmodeledComponent, UnsupportedDegree
-from .quivers import Quiver, double_burban, k0_rank, single_burban
-from .sod import Decomposition, KProfile, LINE_BUNDLE_PROFILE, Opaque
+from .quivers import Quiver, k0_rank
+from .sod import Decomposition, Opaque
+
+
+@dataclass(frozen=True)
+class KProfile:
+    """Ranks of K_0 (or None when unknown) and K_{-1} of a component."""
+
+    k0_rank: int | None
+    k_minus1_rank: int
+
+
+LINE_BUNDLE_PROFILE = KProfile(1, 0)
 
 
 @dataclass(frozen=True)
@@ -37,23 +50,12 @@ class ComponentModel:
                     f"disagrees with the quiver vertex count")
 
 
-def _chain_model(name: str, components: int) -> ComponentModel:
-    """Residual component of a chain of smooth rational curves.
-
-    A chain with m components has profile (m, m-1); one component is an
-    exceptional object, two components give the 2-vertex algebra, three
-    give the 3-vertex one.  Longer chains are not modeled.
-    """
-    algebra = {1: None, 2: single_burban(), 3: double_burban()}[components]
-    return ComponentModel(name, KProfile(components, components - 1), algebra)
-
-
-def _quadric_model(name: str, nodes: int) -> ComponentModel:
-    if nodes == 0:
-        return ComponentModel(name, KProfile(1, 0))
-    if nodes == 1:
-        return ComponentModel(name, KProfile(2, 1), single_burban())
-    raise ValueError("a quadric threefold here is smooth or has one node")
+def _piece_model(name: str, pieces, nodes: int) -> ComponentModel:
+    """A degree-5 piece with k nodes: profile (k+1, k) and the catalog's
+    quiver for it."""
+    _, algebra = pieces[nodes]
+    return ComponentModel(name, KProfile(nodes + 1, nodes),
+                          algebra() if algebra else None)
 
 
 def standard_models(d: int, nodes_c: int, nodes_q: int = 0) -> dict[str, ComponentModel]:
@@ -66,11 +68,12 @@ def standard_models(d: int, nodes_c: int, nodes_q: int = 0) -> dict[str, Compone
     """
     total = nodes_c + nodes_q
     if d == 5:
-        if not (0 <= nodes_c <= 2 and 0 <= nodes_q <= 1):
-            raise ValueError("degree 5 allows at most (2, 1) nodes")
+        limits = (len(CENTER_PIECES) - 1, len(QUADRIC_PIECES) - 1)
+        if not (0 <= nodes_c <= limits[0] and 0 <= nodes_q <= limits[1]):
+            raise ValueError(f"degree 5 allows at most {limits} nodes")
         return {
-            "A_C": _chain_model("A_C", nodes_c + 1),
-            "A_Q": _quadric_model("A_Q", nodes_q),
+            "A_C": _piece_model("A_C", CENTER_PIECES, nodes_c),
+            "A_Q": _piece_model("A_Q", QUADRIC_PIECES, nodes_q),
             "A_V5": ComponentModel("A_V5", KProfile(nodes_c + nodes_q + 2, total)),
             "DbY": ComponentModel("DbY", KProfile(None, total)),
         }
@@ -145,12 +148,12 @@ def kawamata_gate(d: int, node_count: int) -> GateVerdict:
 
     Exists iff d is 5 or 6.  The reason chain follows the proof route:
     small degrees fail the defect bound, degree 4 fails through the
-    negative K-theory of its associated genus-2 curve, and degrees 7 and 8
-    have no nodal members at all.
+    negative K-theory of its associated genus-2 curve, and degrees whose
+    catalog entry allows no node (7 and 8) have no nodal members at all.
     """
     if d < 1 or d > 8:
         raise InvalidDegree(f"degree must lie in 1..8, got {d}")
-    if d >= 7:
+    if lookup(d).max_nodes == 0:
         raise InvalidDegree(
             f"degree-{d} del Pezzo threefolds are smooth and rigid; no nodal "
             "member exists")

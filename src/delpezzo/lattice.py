@@ -91,8 +91,6 @@ def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     by m.  An empty matrix (no rows) has the full standard basis as kernel.
     """
     nc = m.cols
-    if m.rows == 0:
-        return [tuple(Fraction(int(i == j)) for j in range(nc)) for i in range(nc)]
     rows, pivots, d = _eliminate(m.to_rows())
     basis = []
     for f in (c for c in range(nc) if c not in pivots):

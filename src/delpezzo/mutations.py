@@ -457,9 +457,7 @@ def replay(script: ReplayScript, store: FactStore,
         try:
             current, evidence, facts = _apply(current, rule, store, geom)
         except SideConditionFailed as exc:
-            exc.step = idx
-            exc.args = (f"{exc.rule_id} (step {idx}): {exc.detail}",)
-            raise
+            raise type(exc)(exc.rule_id, exc.detail, idx) from None
         audit.entries.append(AuditEntry(idx, rule.text(), tuple(evidence),
                                         decomposition_text(current),
                                         tuple(facts)))

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfiniteDimensional, MalformedRelation
+from .errors import BasisTooLarge, InfiniteDimensional, MalformedRelation
 
 Arrow = tuple[str, str, str]  # (source, target, name)
+
+MAX_BASIS = 200_000  # largest basis path_basis lists for a finite algebra
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,16 @@ def k0_rank(q: Quiver) -> int:
     return len(q.vertices)
 
 
-def _automaton(q: Quiver) -> dict[State, list[Move]] | None:
-    """Moves of the reachable forbidden-factor automaton, or None when a
-    cycle is reachable.
+def _automaton(q: Quiver) -> tuple[dict[State, list[Move]], int] | None:
+    """Moves of the reachable forbidden-factor automaton and its number of
+    walks from the (vertex, ()) starts, or None when a cycle is reachable.
 
     States are discovered by an iterative three-colour depth-first search
-    from every (vertex, ()) start (unseen: not in the table; grey: on the
-    stack; black: finished).  Meeting a grey state closes a cycle.  The
-    search keeps its own stack, so deep automata do not reach Python's
-    recursion limit.
+    from every (vertex, ()) start (unseen: not in the table; grey: in the
+    table, no walk count yet; black: finished).  Meeting a grey state
+    closes a cycle.  A state finishes after all its successors, so its
+    walk count is one plus theirs.  The search keeps its own stack, so deep
+    automata do not reach Python's recursion limit.
     """
     outgoing: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
     for s, t, name in q.arrows:
@@ -131,29 +134,29 @@ def _automaton(q: Quiver) -> dict[State, list[Move]] | None:
         return moves
 
     table: dict[State, list[Move]] = {}
-    on_stack: set[State] = set()
+    walks: dict[State, int] = {}
     for v in q.vertices:
         start = (v, ())
         if start in table:
             continue
         table[start] = moves_from(start)
-        on_stack.add(start)
         stack = [(start, iter(table[start]))]
         while stack:
             state, pending = stack[-1]
             move = next(pending, None)
             if move is None:
-                on_stack.discard(state)
+                walks[state] = 1   # a plain loop: sum() over a generator costs 3x
+                for _, nxt in table[state]:
+                    walks[state] += walks[nxt]
                 stack.pop()
                 continue
             nxt = move[1]
-            if nxt in on_stack:
-                return None
             if nxt not in table:
                 table[nxt] = moves_from(nxt)
-                on_stack.add(nxt)
                 stack.append((nxt, iter(table[nxt])))
-    return table
+            elif nxt not in walks:
+                return None
+    return table, sum(walks[(v, ())] for v in q.vertices)
 
 
 def path_basis(q: Quiver) -> PathAlgebraReport:
@@ -163,13 +166,17 @@ def path_basis(q: Quiver) -> PathAlgebraReport:
     paths, so the report is infinite (dimension None) without listing any.
     Otherwise every walk ends, and the nonzero paths are enumerated by
     increasing length, each carrying its automaton state so that extending
-    it is a lookup in the move table.  The basis is sorted by length, then
-    word, then source vertex.
+    it is a lookup in the move table.  The automaton's walk count is the
+    dimension, so more than MAX_BASIS paths are refused before any is
+    listed.  The basis is sorted by length, then word, then source vertex.
     """
     _check_relations(q)
-    table = _automaton(q)
-    if table is None:
+    automaton = _automaton(q)
+    if automaton is None:
         return PathAlgebraReport(None, (), None, k0_rank(q))
+    table, size = automaton
+    if size > MAX_BASIS:
+        raise BasisTooLarge(f"path algebra has more than {MAX_BASIS} basis paths")
 
     level = [(v, (), (v, ())) for v in q.vertices]
     basis: list[tuple[str, tuple[str, ...], State]] = []

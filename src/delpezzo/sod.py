@@ -32,17 +32,6 @@ PUSHFORWARD = "pushforward-oracle"
 TWIST_CLOSURE = "twist-closure"
 
 
-@dataclass(frozen=True)
-class KProfile:
-    """Ranks of K_0 (or None when unknown) and K_{-1} of a component."""
-
-    k0_rank: int | None
-    k_minus1_rank: int
-
-
-LINE_BUNDLE_PROFILE = KProfile(1, 0)
-
-
 def _require_he(cls: DivisorClass) -> None:
     if cls.basis_id != BASIS_HE:
         raise UnknownBasis(f"a node class must be in the {{H, E}} basis, "
@@ -228,7 +217,7 @@ class FactStore:
 
 
 def record_decomposition(dec: Decomposition, store: FactStore,
-                         provenance: str = AXIOM) -> list[str]:
+                         provenance: str) -> list[str]:
     """Add all pairwise Vanish(node_j, node_i) facts, j > i.
 
     Recording the same decomposition twice leaves the store unchanged.

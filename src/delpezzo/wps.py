@@ -179,18 +179,18 @@ def hessian_rank(space: WeightedSpace, second: list[list[Poly]],
     """Rank of the Hessian of the affine-chart dehomogenization at a point,
     given the form's second partials second[a][b] (see ``_partials``).
 
-    It is read at the point's integer representative: entry (a, b) scales
-    by t**(deg - w_a - w_b), a diagonal congruence times a scalar, so the
-    rank is that at the chart-normalized point."""
+    It is read at the point as given: rescaling a point by t multiplies
+    entry (a, b) by t**(deg - w_a - w_b), a diagonal congruence times a
+    scalar, so any representative, such as the integer one both callers
+    pass, has the rank of the chart-normalized point."""
     j = space.chart_index(point)
     if j is None:
         raise UnsupportedChart("point has no nonvanishing weight-1 coordinate")
-    q = _integral(space, point)
     others = [i for i in range(len(space.weights)) if i != j]
     rows = [[0] * len(others) for _ in others]
     for r, a in enumerate(others):
         for c in range(r, len(others)):
-            rows[r][c] = rows[c][r] = poly_eval(second[a][others[c]], q)
+            rows[r][c] = rows[c][r] = poly_eval(second[a][others[c]], point)
     return lattice.rank(lattice.from_rational_rows(rows))
 
 

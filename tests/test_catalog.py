@@ -1,7 +1,7 @@
 import pytest
 
-from delpezzo.catalog import (DelPezzoEntry, enumerate_degenerations,
-                              entries_for, lookup, singularity_budget)
+from delpezzo.catalog import (enumerate_degenerations, entries_for, lookup,
+                              singularity_budget)
 from delpezzo.errors import (BudgetExceeded, OutOfRangeDegree, UnknownDegree,
                              UnsupportedDegree)
 
@@ -82,8 +82,3 @@ def test_degeneration_errors():
         enumerate_degenerations(4, 1)
     with pytest.raises(BudgetExceeded):
         enumerate_degenerations(5, 4)
-
-
-def test_entry_serialization_round_trip():
-    for entry in entries_for():
-        assert DelPezzoEntry.from_dict(entry.to_dict()) == entry

@@ -222,6 +222,19 @@ def test_quiver_complete_graph_is_infinite_at_once(tmp_path, n):
     assert json.loads(proc.stdout)["dimension"] is None
 
 
+def test_quiver_basis_past_the_cap_is_an_input_fault(tmp_path):
+    # a line of 14 vertices, 4 parallel arrows per edge: ~10^8 paths
+    lines = ["vertices " + " ".join(str(i) for i in range(14))]
+    lines += [f"arrow a{i}_{k} {i} {i + 1}" for i in range(13) for k in range(4)]
+    qf = tmp_path / "wide-line.quiver"
+    qf.write_text("\n".join(lines) + "\n")
+    proc = run_module("quiver", str(qf), "--json", timeout=20)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert (error["name"], error["code"]) == ("BasisTooLarge", 42)
+
+
 @pytest.mark.parametrize("command, name, body", [
     ("quiver", "bad.quiver", b"vertices 1\n\xff\n"),
     ("defect", "bad.hyp", b"weights 1 1 1 1 1\ndegree 3\n\xfe\n"),

@@ -3,12 +3,12 @@ import pytest
 from delpezzo.dsl import load_builtin_script
 from delpezzo.errors import InvalidDegree, SmoothInput, UnmodeledComponent
 from delpezzo.intersection import BlowupGeometry, he
-from delpezzo.ktheory import (ComponentModel, consistency_check, k0_total,
-                              k_minus1_total, kawamata_gate, standard_models)
+from delpezzo.ktheory import (ComponentModel, KProfile, consistency_check,
+                              k0_total, k_minus1_total, kawamata_gate,
+                              standard_models)
 from delpezzo.mutations import replay
 from delpezzo.quivers import double_burban, single_burban
-from delpezzo.sod import (Decomposition, FactStore, KProfile, LineBundle,
-                          standard_opaque)
+from delpezzo.sod import Decomposition, FactStore, LineBundle, standard_opaque
 
 
 def _line_side(d, nodes_c, nodes_q):

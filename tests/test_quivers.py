@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delpezzo.errors import InfiniteDimensional, MalformedRelation
-from delpezzo.quivers import (Quiver, cartan_matrix, double_burban, k0_rank,
-                              path_basis, single_burban)
+from delpezzo import quivers
+from delpezzo.errors import (BasisTooLarge, InfiniteDimensional,
+                             MalformedRelation)
+from delpezzo.quivers import (MAX_BASIS, Quiver, cartan_matrix, double_burban,
+                              k0_rank, path_basis, single_burban)
 from oracles import nonzero_words, transfer_dimension
 
 
@@ -180,3 +182,32 @@ def test_path_basis_matches_oracles(q):
             nonzero_words(q.vertices, q.arrows, q.relations)
         assert len(report.basis) == report.dimension
         assert sum(map(sum, report.cartan)) == report.dimension
+
+
+def _parallel_line(n: int, width: int = 4) -> Quiver:
+    """A line of n vertices with `width` parallel arrows per edge."""
+    return Quiver.build([str(i) for i in range(n)],
+                        [(str(i), str(i + 1), f"a{i}_{k}")
+                         for i in range(n - 1) for k in range(width)])
+
+
+def test_basis_past_the_cap_is_refused(monkeypatch):
+    # sum over lengths k of (n - k) 4^k paths: 116,505 for n = 9
+    q = _parallel_line(9)
+    assert path_basis(q).dimension == 116_505 <= MAX_BASIS
+    for n in (10, 12):
+        with pytest.raises(BasisTooLarge):
+            path_basis(_parallel_line(n))
+    monkeypatch.setattr(quivers, "MAX_BASIS", 116_504)
+    with pytest.raises(BasisTooLarge):
+        path_basis(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_quivers())
+def test_walk_count_is_the_dimension(q):
+    automaton = quivers._automaton(q)
+    dimension = path_basis(q).dimension
+    assert (automaton is None) == (dimension is None)
+    if automaton is not None:
+        assert automaton[1] == dimension
