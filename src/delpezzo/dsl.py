@@ -306,11 +306,6 @@ def parse_instance(text: str):
                 f"line {lineno}: expected weights, degree, node or coeffs")
     if space is None or degree is None:
         raise InstanceFormatError("instance needs 'weights' and 'degree' lines")
-    n = len(space.weights)
-    for p in nodes:
-        if len(p) != n:
-            raise InstanceFormatError(f"node {p} has {len(p)} coordinates, "
-                                      f"expected {n}")
     if coeffs is not None:
         expected = len(enumerate_monomials(space, degree))
         if len(coeffs) != expected:

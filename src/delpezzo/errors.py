@@ -57,6 +57,17 @@ class InvariantViolation(InputFault):
     code = 15
 
 
+class InvalidNode(InputFault, ValueError):
+    """A node of the wrong length, the zero tuple, or a repeated node."""
+    code = 16
+
+
+class DegreeTooLarge(InputFault):
+    """A degree with more than ``wps.MAX_MONOMIALS`` monomials, or whose
+    monomial search would take more steps than that bound allows."""
+    code = 17
+
+
 # -- divisor classes ------------------------------------------------------
 
 class UnknownBasis(InputFault):

@@ -63,8 +63,9 @@ def standard_models(d: int, nodes_c: int, nodes_q: int = 0) -> dict[str, Compone
 
     For degree 5 the blow-down center is a chain with nodes_c nodes on a
     quadric with nodes_q nodes.  For degree 4 the center is a genus-2
-    curve with nodes_c nodes (its K_0 rank is not modeled) and the image
-    space is smooth, so nodes_q must be 0.
+    curve with nodes_c nodes (its K_0 rank is not modeled), at most the
+    catalog's node budget, and the image space is smooth, so nodes_q must
+    be 0.
     """
     total = nodes_c + nodes_q
     if d == 5:
@@ -80,6 +81,9 @@ def standard_models(d: int, nodes_c: int, nodes_q: int = 0) -> dict[str, Compone
     if d == 4:
         if nodes_q != 0:
             raise ValueError("degree 4 projects to a smooth space")
+        limit = lookup(4).max_nodes
+        if not 0 <= nodes_c <= limit:
+            raise ValueError(f"degree 4 allows at most {limit} nodes")
         return {
             "DbC": ComponentModel("DbC", KProfile(None, nodes_c)),
             "A_V4": ComponentModel("A_V4", KProfile(None, nodes_c)),

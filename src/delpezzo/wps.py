@@ -12,11 +12,15 @@ the singular points of W and the nodes avoid those, the evaluation matrix
 has rank at least 1 whenever mu >= 1, so delta < mu for the hypersurface
 del Pezzo cases (degrees 6, 4, 3 on the three standard ambients).
 
-A point of the ambient space counts as singular when the weights of its
-nonvanishing coordinates have a common factor; coordinate points of weight
-larger than one are the typical case.  Nodality (rank-4 Hessian) is
-certified in an affine chart at a nonvanishing weight-1 coordinate; points
-without such a coordinate are rejected rather than guessed.
+``WeightedSpace.normalize`` is the one gate for nodes.  A point counts as
+singular when the weights of its nonvanishing coordinates have a common
+factor; coordinate points of weight larger than one are the typical case.
+The canonical form scales a weight-1 coordinate to 1, so points without a
+nonvanishing one are rejected rather than guessed.  Nodality (Hessian rank
+dim W) needs no chart; see ``hessian_rank``.
+
+Monomial bases and the search for them are bounded (``MAX_MONOMIALS``), so
+no degree makes the builder, the certifier or the defect run unbounded.
 
 Internally the builder and the certifier run on integers.  A node is kept
 chart-normalized (chart coordinate 1, Fraction coordinates) and evaluated at
@@ -47,15 +51,21 @@ from math import gcd, lcm, prod
 from operator import add, mul
 
 from . import lattice
-from .errors import (InvariantViolation, NegativeLDegree, NoSolution,
-                     NodalityFailed, NodeAtAmbientSingularity,
-                     UnsupportedChart)
+from .errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
+                     NegativeLDegree, NoSolution, NodalityFailed,
+                     NodeAtAmbientSingularity, UnsupportedChart)
 
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
 Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebra
 
 MAX_TRIES = 64   # coefficient draws the builder makes before giving up
+MAX_MONOMIALS = 2_000   # largest monomial basis enumerate_monomials lists
+
+
+def _fraction(c) -> Fraction:
+    """c itself when it already is a Fraction, else Fraction(c)."""
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 @dataclass(frozen=True)
@@ -76,26 +86,26 @@ class WeightedSpace:
     def dim(self) -> int:
         return len(self.weights) - 1
 
-    def is_singular_point(self, point: Point) -> bool:
-        """Flagged singular when the weights of the nonvanishing coordinates
-        have gcd > 1.  Sufficient for the coordinate-point checks needed
-        here; documented as a partial test."""
-        active = [w for w, c in zip(self.weights, point) if c != 0]
+    def normalize(self, point) -> Point:
+        """The node gate: the canonical form of rational coordinates, the
+        first nonzero weight-1 coordinate c_j scaled to 1 (coordinate i
+        becomes c_i / c_j**w_i, one Fraction from integers).  Raises, in
+        this order, InvalidNode (wrong length, the zero tuple),
+        NodeAtAmbientSingularity (the weights of the nonzero coordinates
+        have gcd > 1, a partial test) and UnsupportedChart (no such c_j)."""
+        point = tuple(map(_fraction, point))
+        if len(point) != len(self.weights):
+            raise InvalidNode(f"node {' '.join(map(str, point))} has {len(point)} "
+                              f"coordinates, expected {len(self.weights)}")
+        active = [w for w, c in zip(self.weights, point) if c]
         if not active:
-            raise ValueError("the zero tuple is not a point")
-        return gcd(*active) > 1
-
-    def chart_index(self, point: Point) -> int | None:
-        """First weight-1 coordinate that does not vanish, if any."""
-        for i, (w, c) in enumerate(zip(self.weights, point)):
-            if w == 1 and c != 0:
-                return i
-        return None
-
-    def normalize(self, point: Point) -> Point:
-        """Scale so the chart coordinate c_j equals 1: coordinate i becomes
-        c_i / c_j**w_i, built as one Fraction from integers."""
-        j = self.chart_index(point)
+            raise InvalidNode("the zero tuple is not a point")
+        if gcd(*active) > 1:
+            raise NodeAtAmbientSingularity(
+                "hypersurfaces with at worst nodes cannot pass through "
+                "singular points of the ambient space")
+        j = next((i for i, (w, c) in enumerate(zip(self.weights, point))
+                  if w == 1 and c), None)
         if j is None:
             raise UnsupportedChart(
                 "point has no nonvanishing weight-1 coordinate")
@@ -107,7 +117,8 @@ class WeightedSpace:
 def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
     """All exponent vectors e with sum(e_i * w_i) = degree, ascending lex.
 
-    Each call returns a fresh list; the enumeration itself is memoized."""
+    Raises DegreeTooLarge past MAX_MONOMIALS monomials.  Each call returns
+    a fresh list; the enumeration itself is memoized."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return list(_monomials(space.weights, degree))
@@ -115,18 +126,37 @@ def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
 
 @lru_cache(maxsize=64)
 def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
-    out: list[Mono] = []
+    """The search takes the variables heaviest first and solves for the
+    lightest one last.  With a weight-1 variable every branch ends in a
+    monomial, so it makes at most len(weights) steps per monomial; the same
+    step budget bounds the search on spaces without one."""
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    ws = [weights[i] for i in order]
+    budget = len(ws) * (MAX_MONOMIALS + 1)
+    found: list[Mono] = []
+    steps = 0
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(weights) - 1:
-            if remaining % weights[i] == 0:
-                out.append(prefix + (remaining // weights[i],))
+    def rec(k: int, remaining: int, prefix: tuple[int, ...]):
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise DegreeTooLarge(
+                f"listing the monomials of degree {degree} on P{weights} "
+                f"takes more than {budget:,} steps")
+        if k == len(ws) - 1:
+            if remaining % ws[k] == 0:
+                if len(found) == MAX_MONOMIALS:
+                    raise DegreeTooLarge(
+                        f"degree {degree} on P{weights} has more than "
+                        f"{MAX_MONOMIALS:,} monomials")
+                found.append(prefix + (remaining // ws[k],))
             return
-        for e in range(remaining // weights[i] + 1):
-            rec(i + 1, remaining - e * weights[i], prefix + (e,))
+        for e in range(remaining // ws[k] + 1):
+            rec(k + 1, remaining - e * ws[k], prefix + (e,))
 
     rec(0, degree, ())
-    return tuple(out)
+    place = sorted(range(len(ws)), key=order.__getitem__)
+    return tuple(sorted(tuple(e[k] for k in place) for e in found))
 
 
 # -- exact polynomial helpers ---------------------------------------------
@@ -174,19 +204,17 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def hessian_rank(space: WeightedSpace, second: list[list[Poly]],
-                 point: Point) -> int:
-    """Rank of the Hessian of the affine-chart dehomogenization at a point,
-    given the form's second partials second[a][b] (see ``_partials``).
+def hessian_rank(second: list[list[Poly]], point) -> int:
+    """Rank of the weighted Hessian of a form at a point where its gradient
+    vanishes, from the second partials second[a][b] (see ``_partials``).
 
-    It is read at the point as given: rescaling a point by t multiplies
-    entry (a, b) by t**(deg - w_a - w_b), a diagonal congruence times a
-    scalar, so any representative, such as the integer one both callers
-    pass, has the rank of the chart-normalized point."""
-    j = space.chart_index(point)
-    if j is None:
-        raise UnsupportedChart("point has no nonvanishing weight-1 coordinate")
-    others = [i for i in range(len(space.weights)) if i != j]
+    The Euler relation gives sum_i w_i x_i F_ij = (deg - w_j) F_j = 0 there,
+    so the row and column of a nonvanishing x_j depend on the others: the
+    minor without the first one has the full rank.  Rescaling the point by
+    t multiplies entry (a, b) by t**(deg - w_a - w_b), so any representative
+    gives the same rank."""
+    j = next(i for i, c in enumerate(point) if c)
+    others = [i for i in range(len(point)) if i != j]
     rows = [[0] * len(others) for _ in others]
     for r, a in enumerate(others):
         for c in range(r, len(others)):
@@ -199,12 +227,12 @@ class NodalHypersurface:
     """Hypersurface of given weighted degree with a list of declared nodes.
 
     Coefficients are exact rationals indexed by the lex-ordered monomial
-    basis of the degree.  Nodes are stored chart-normalized (chart
-    coordinate 1).  At every node the form and its gradient vanish, the
-    chart Hessian has rank 4, and the ambient space is smooth.  ``checked``
-    certifies this on the integer form (coefficients times the lcm of their
-    denominators) at each node's integer representative, reading the value,
-    the gradient and the Hessian from one table of partials of the form.
+    basis of the degree.  Nodes are stored as ``WeightedSpace.normalize``
+    returns them.  At every node the form and its gradient vanish and the
+    weighted Hessian has rank 4.  ``checked`` certifies this on the integer
+    form (coefficients times the lcm of their denominators) at each node's
+    integer representative, reading the value, the gradient and the
+    Hessian from one table of partials of the form.
     """
 
     ambient: WeightedSpace
@@ -219,10 +247,6 @@ class NodalHypersurface:
 
     def monomials(self) -> list[Mono]:
         return enumerate_monomials(self.ambient, self.degree)
-
-    def polynomial(self) -> Poly:
-        return {m: Fraction(c)
-                for m, c in zip(self.monomials(), self.coefficients) if c != 0}
 
     @property
     def mu(self) -> int:
@@ -247,33 +271,16 @@ class NodalHypersurface:
                 raise InvariantViolation(f"form does not vanish at {p}")
             if any(poly_eval(f, q) != 0 for f in first):
                 raise InvariantViolation(f"gradient does not vanish at {p}")
-            if hessian_rank(ambient, second, q) != ambient.dim:
+            if hessian_rank(second, q) != ambient.dim:
                 raise InvariantViolation(f"Hessian is degenerate at {p}")
         return hyp
 
 
-def _fraction(c) -> Fraction:
-    """c itself when it already is a Fraction, else Fraction(c)."""
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
-    norm: list[Point] = []
-    for raw in nodes:
-        p = tuple(map(_fraction, raw))
-        if len(p) != len(space.weights):
-            raise ValueError(f"node {raw} has {len(p)} coordinates, "
-                             f"expected {len(space.weights)}")
-        if all(c == 0 for c in p):
-            raise ValueError("the zero tuple is not a point")
-        if space.is_singular_point(p):
-            raise NodeAtAmbientSingularity(
-                "hypersurfaces with at worst nodes cannot pass through "
-                "singular points of the ambient space")
-        norm.append(space.normalize(p))
+    norm = tuple(map(space.normalize, nodes))
     if len(set(norm)) != len(norm):
-        raise ValueError("nodes must be pairwise distinct")
-    return tuple(norm)
+        raise InvalidNode("nodes must be pairwise distinct")
+    return norm
 
 
 def _node_constraint_rows(monos: list[Mono],
@@ -328,7 +335,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
         if not any(coeffs):
             continue
         _, second = _partials(_poly_from_vector(monos, coeffs), len(space.weights))
-        if all(hessian_rank(space, second, q) == space.dim for q in points):
+        if all(hessian_rank(second, q) == space.dim for q in points):
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, den) for c in coeffs), norm)
     raise NodalityFailed(
@@ -359,7 +366,10 @@ def defect(x: NodalHypersurface) -> DefectReport:
     if l_deg < 0:
         raise NegativeLDegree(
             f"adjoint twist has degree {l_deg}; formula does not apply")
-    monos = enumerate_monomials(x.ambient, l_deg)
+    try:
+        monos = enumerate_monomials(x.ambient, l_deg)
+    except DegreeTooLarge as exc:
+        raise DegreeTooLarge(f"adjoint twist L: {exc}") from None
     h0 = len(monos)
     points = [_integral(x.ambient, p) for p in x.nodes]
     rows = [[prod(map(pow, q, e)) for e in monos] for q in points]

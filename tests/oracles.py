@@ -143,6 +143,13 @@ def chart_hessian_rank(poly, node, chart):
                                           node) for b in others] for a in others])
 
 
+def weighted_hessian_rank(poly, node):
+    """Rank of the full matrix of second partials, in every variable."""
+    return fraction_rank([[_fraction_eval(_fraction_partial(_fraction_partial(poly, a), b),
+                                          node) for b in range(len(node))]
+                          for a in range(len(node))])
+
+
 def fraction_build(weights, degree, nodes, seed=0, max_tries=64):
     """The seeded builder over ``Fraction``: (coefficients, normalized
     nodes), or the name of the error the builder raises.

@@ -178,6 +178,46 @@ def test_defect_malformed_instance_is_an_input_fault(tmp_path, body):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ("node 0 0 0 0 0\n", "the zero tuple is not a point"),
+    ("node 1 0 0 0 0\nnode 2 0 0 0 0\n", "nodes must be pairwise distinct"),
+    ("node 1 0 0\n", "node 1 0 0 has 3 coordinates, expected 5"),
+])
+def test_defect_invalid_node_is_an_input_fault(tmp_path, nodes, message):
+    inst = tmp_path / "bad.hyp"
+    inst.write_text("weights 1 1 1 1 1\ndegree 3\n" + nodes)
+    proc = run_module("defect", str(inst))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error [InvalidNode/16]: {message}\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("weights 1 1 1 1 1\ndegree 1000000\nnode 1 0 0 0 0\n",
+     "degree 1000000 on P(1, 1, 1, 1, 1) has more than 2,000 monomials"),
+    ("weights 1 1000000007\ndegree 10000000000000\n",
+     "degree 10000000000000 on P(1, 1000000007) has more than 2,000 monomials"),
+    # degree 12 has 1,820 monomials, its adjoint degree 19 has 8,855
+    ("weights 1 1 1 1 1\ndegree 12\ncoeffs 1" + " 0" * 1819 + "\n",
+     "adjoint twist L: degree 19 on P(1, 1, 1, 1, 1) has more than 2,000 monomials"),
+])
+def test_defect_refuses_a_degree_with_too_many_monomials(tmp_path, body, message):
+    inst = tmp_path / "big.hyp"
+    inst.write_text(body)
+    proc = run_module("defect", "--json", str(inst), timeout=20)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == {
+        "name": "DegreeTooLarge", "code": 17, "message": message}
+
+
+def test_defect_answers_a_skewed_degree_with_few_monomials(tmp_path):
+    # 1,000 monomials, and 1,999 in the adjoint degree: within the bound
+    inst = tmp_path / "skewed.hyp"
+    inst.write_text("weights 1 1000000007\ndegree 1000000000000\n")
+    proc = run_module("defect", "--json", str(inst), timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["h0_L"] == 1999
+
+
 def test_quiver_subcommand(capsys):
     code, out, _ = run(capsys, "quiver", "single-burban", "--json")
     assert code == 0

@@ -155,8 +155,6 @@ def test_instance_errors():
     with pytest.raises(InstanceFormatError):
         parse_instance("degree 3\n")
     with pytest.raises(InstanceFormatError):
-        parse_instance("weights 1 1 1 1 1\ndegree 3\nnode 1 0\n")
-    with pytest.raises(InstanceFormatError):
         parse_instance("weights 1 1\ndegree 1\ncoeffs 1\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("weights 1 1\ndegree 1\nnode 1 1/0\n")

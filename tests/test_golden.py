@@ -16,14 +16,21 @@ the enumerator that ran to length |vertices| x |arrows| + 1 before testing
 for a pumpable cycle: a builtin quiver, a 6-cycle with all six length-3
 relations, and two loops x, y with xx = yy = 0 and alternations of length 7
 zero.  Basis order, Cartan matrix and layout must not move.
+
+``segre-cubic.hyp`` is not a build but a known special value: the Segre
+cubic, written by hand, whose defect is pinned at 5.
 """
 
+import json
+from itertools import permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
 from delpezzo import dsl, wps
 from delpezzo.cli import main
+from oracles import brute_force_monomials
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +42,21 @@ def test_build_matches_golden(name):
     space, degree, nodes, _ = dsl.parse_instance(expected)
     hyp = wps.build_nodal_hypersurface(space, degree, nodes, seed=0)
     assert dsl.render_instance(hyp) == expected
+
+
+def test_segre_cubic_has_defect_five(capsys):
+    """``segre-cubic.hyp`` is sum x_i^3 - (sum x_i)^3 on P^4 with its ten
+    nodes, the permutations of (1, 1, 1, -1, -1): mu = 10 and defect 5."""
+    path = GOLDEN / "segre-cubic.hyp"
+    space, degree, nodes, coeffs = dsl.parse_instance(path.read_text())
+    assert sorted(nodes) == sorted(set(permutations((1, 1, 1, -1, -1))))
+    cube = [int(max(e) == 3) - 6 // prod(map(factorial, e))
+            for e in brute_force_monomials(space.weights, degree)]
+    assert coeffs == cube
+    assert main(["defect", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "weights": [1, 1, 1, 1, 1], "degree": 3,
+        "mu": 10, "h0_L": 5, "eval_rank": 5, "delta": 5}
 
 
 @pytest.mark.parametrize("name", ["double-burban", "cycle6-r3", "alternating-3"])

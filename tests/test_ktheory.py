@@ -35,6 +35,14 @@ def test_nodal_quartic_total_is_positive():
         assert k_minus1_total(dec, models) >= 1
 
 
+@pytest.mark.parametrize("nodes_c", [-1, 7])
+def test_quartic_models_keep_the_catalog_node_budget(nodes_c):
+    # the degree-4 center carries at most catalog.lookup(4).max_nodes = 6 nodes
+    assert standard_models(4, 6)["DbC"].k_profile.k_minus1_rank == 6
+    with pytest.raises(ValueError, match="at most 6 nodes"):
+        standard_models(4, nodes_c)
+
+
 def test_unmodeled_component():
     dec = Decomposition("Y5", (standard_opaque("A_V5"), LineBundle(he(0, 0))))
     with pytest.raises(UnmodeledComponent):

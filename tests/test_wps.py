@@ -1,25 +1,30 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.errors import (InvariantViolation, NegativeLDegree,
+from delpezzo import dsl
+from delpezzo.errors import (DegreeTooLarge, InvariantViolation, NegativeLDegree,
                              NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
 from delpezzo.wps import (NodalHypersurface, WeightedSpace, adjoint_degree,
                           apply_linear_change, build_nodal_hypersurface,
-                          defect, enumerate_monomials, poly_eval, poly_partial)
-from oracles import (brute_force_monomials, chart_normalize, fraction_build,
-                     fraction_defect, fraction_linear_change)
+                          defect, enumerate_monomials, hessian_rank, poly_eval,
+                          poly_partial)
+from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
+                     fraction_build, fraction_defect, fraction_linear_change,
+                     weighted_hessian_rank)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
 P11123 = WeightedSpace((1, 1, 1, 2, 3))
 
 E4 = (0, 0, 0, 0, 1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_weighted_space_invariants():
@@ -69,11 +74,14 @@ def test_monomials_match_brute_force(weights, degree):
 
 
 def test_singular_points():
-    assert P11123.is_singular_point((0, 0, 0, 1, 0))
-    assert P11123.is_singular_point((0, 0, 0, 0, 1))
-    assert not P11123.is_singular_point((0, 0, 0, 1, 1))
-    assert not P11112.is_singular_point((1, 0, 0, 0, 1))
-    assert P11112.is_singular_point((0, 0, 0, 0, 1))
+    for space, point in [(P11123, (0, 0, 0, 1, 0)), (P11123, (0, 0, 0, 0, 1)),
+                         (P11112, (0, 0, 0, 0, 1))]:
+        with pytest.raises(NodeAtAmbientSingularity):
+            space.normalize(point)
+    # smooth points: the first has no weight-1 chart, the second is a node
+    with pytest.raises(UnsupportedChart):
+        P11123.normalize((0, 0, 0, 1, 1))
+    assert P11112.normalize((1, 0, 0, 0, 1)) == (1, 0, 0, 0, 1)
 
 
 def test_cubic_one_node_kills_top_coefficients():
@@ -81,7 +89,7 @@ def test_cubic_one_node_kills_top_coefficients():
     for mono, coeff in zip(hyp.monomials(), hyp.coefficients):
         if mono[4] >= 2:
             assert coeff == 0
-    poly = hyp.polynomial()
+    poly = {m: c for m, c in zip(hyp.monomials(), hyp.coefficients) if c != 0}
     node = hyp.nodes[0]
     assert poly_eval(poly, node) == 0
     for i in range(5):
@@ -204,6 +212,31 @@ def test_linear_change_rejects_a_matrix_of_the_wrong_shape(matrix):
         apply_linear_change(hyp, matrix)
 
 
+def test_monomial_enumeration_is_bounded():
+    assert len(enumerate_monomials(P4, 12)) == 1820
+    with pytest.raises(DegreeTooLarge, match="more than 2,000 monomials"):
+        enumerate_monomials(P4, 13)
+    line = WeightedSpace((1, 1))
+    assert len(enumerate_monomials(line, 1999)) == 2000
+    with pytest.raises(DegreeTooLarge, match="more than 2,000 monomials"):
+        enumerate_monomials(line, 2000)
+    # a lex search over x0 would take 10**12 steps for these 1,000 monomials
+    skewed = WeightedSpace((1, 1_000_000_007))
+    assert len(enumerate_monomials(skewed, 10**12)) == 1000
+    with pytest.raises(DegreeTooLarge, match="more than 2,000 monomials"):
+        enumerate_monomials(skewed, 10**13)
+    # without a weight-1 variable most branches end in no monomial
+    with pytest.raises(DegreeTooLarge, match="steps"):
+        enumerate_monomials(WeightedSpace((1_000_003, 1_000_033)), 10**15)
+
+
+def test_defect_names_the_adjoint_degree_it_refuses():
+    # degree 12 has 1,820 monomials; its adjoint degree 19 has 8,855
+    hyp = NodalHypersurface(P4, 12, (Fraction(1),) + (Fraction(0),) * 1819, ())
+    with pytest.raises(DegreeTooLarge, match="^adjoint twist L: degree 19 "):
+        defect(hyp)
+
+
 def test_enumerate_monomials_returns_a_fresh_list():
     mons = enumerate_monomials(P11123, 4)
     mons.clear()
@@ -254,6 +287,48 @@ def test_builder_matches_fraction_reference(case, seed):
         fraction_defect(space.weights, degree, hyp.nodes)
     again = NodalHypersurface.checked(space, degree, hyp.coefficients, nodes)
     assert again == hyp
+
+
+def assert_hessian_rank_needs_no_chart(hyp):
+    """At every node, hessian_rank has the rank of the full weighted Hessian,
+    dim W, and so does the minor without any nonvanishing coordinate."""
+    poly = {m: c for m, c in zip(hyp.monomials(), hyp.coefficients) if c != 0}
+    n = len(hyp.ambient.weights)
+    second = [[poly_partial(poly_partial(poly, a), b) for b in range(n)]
+              for a in range(n)]
+    for node in hyp.nodes:
+        rank = hessian_rank(second, node)
+        assert rank == weighted_hessian_rank(poly, node) == hyp.ambient.dim
+        for j, c in enumerate(node):
+            if c != 0:
+                assert chart_hessian_rank(poly, node, j) == rank
+
+
+@pytest.mark.parametrize("name", ["cubic-6n.hyp", "sextic-12n.hyp",
+                                  "quartic-rational.hyp", "segre-cubic.hyp"])
+def test_hessian_rank_needs_no_chart_on_golden_files(name):
+    space, degree, nodes, coeffs = dsl.parse_instance((GOLDEN / name).read_text())
+    assert_hessian_rank_needs_no_chart(
+        NodalHypersurface.checked(space, degree, coeffs, nodes))
+
+
+def test_hessian_rank_leaves_out_a_heavier_coordinate():
+    # weights out of order: the first nonvanishing coordinate has weight 2,
+    # the chart is x1
+    space = WeightedSpace((2, 1, 1, 1, 1))
+    hyp = build_nodal_hypersurface(space, 4, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
+    assert_hessian_rank_needs_no_chart(hyp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_instances(), st.integers(0, 3))
+def test_hessian_rank_needs_no_chart_on_rational_builds(case, seed):
+    space, degree, nodes = case
+    try:
+        hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
+    except (ToolError, ValueError):
+        assume(False)
+    assert_hessian_rank_needs_no_chart(hyp)
 
 
 @st.composite
