@@ -374,10 +374,22 @@ def parse_quiver(text: str) -> Quiver:
 # -- intersection expressions -------------------------------------------------
 
 def parse_intersection_expr(text: str) -> list[DivisorClass]:
-    """Parse a degree-3 product like '(H-E)^3' or 'H^2*E' into factors."""
+    """Parse a degree-3 product like '(H-E)^3' or 'H^2*E' into factors.
+
+    Spaces are ignored; a malformed class names its column in ``text``,
+    counted from 1, and no line."""
     factors: list[DivisorClass] = []
     pos = 0
+    cols = [i + 1 for i, ch in enumerate(text) if ch != " "]
     text = text.replace(" ", "")
+
+    def factor(start: int, end: int) -> DivisorClass:
+        try:
+            return parse_class(text[start:end], col=start)
+        except ScriptSyntaxError as exc:   # exc.col indexes the spaceless text
+            raise InstanceFormatError(
+                f"col {cols[exc.col]}: expected {exc.expected}") from None
+
     while pos < len(text):
         if factors and text[pos] == "*":
             pos += 1
@@ -385,20 +397,14 @@ def parse_intersection_expr(text: str) -> list[DivisorClass]:
             end = text.find(")", pos)
             if end < 0:
                 raise InstanceFormatError("unbalanced parenthesis")
-            try:
-                cls = parse_class(text[pos + 1:end])
-            except ScriptSyntaxError as exc:
-                raise InstanceFormatError(str(exc)) from None
+            cls = factor(pos + 1, end)
             pos = end + 1
         else:
             m = re.match(r"-?\d*[HEhD]", text[pos:])
             if m is None:
                 raise InstanceFormatError(
                     f"expected a class factor at {text[pos:]!r}")
-            try:
-                cls = parse_class(m.group(0))
-            except ScriptSyntaxError as exc:
-                raise InstanceFormatError(str(exc)) from None
+            cls = factor(pos, pos + m.end())
             pos += m.end()
         power = 1
         if pos < len(text) and text[pos] == "^":

@@ -1,13 +1,18 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
-No floating point appears anywhere in this module.  Ranks, rational
-kernels and inverses come from one fraction-free Gauss-Jordan routine,
-``_eliminate`` (Bareiss, Math. Comp. 22, 1968), on integer rows; rational
-input is cleared of denominators row by row first.  Each pivot step sets
-every other row to ``(p * row - row[c] * pivot_row) // d``, p the new pivot
-and d the previous one.  Every such division is exact (Sylvester's
-identity), so entries stay integer minors and no gcd is taken per cell.
-The final rows divided by the last pivot are the reduced row echelon form.
+No floating point appears anywhere in this module.  One fraction-free
+kernel (Bareiss, Math. Comp. 22, 1968) runs on integer rows; rational input
+is cleared of denominators row by row first.  The forward pass ``_forward``
+sets each row below a pivot p in column c to ``(p * row - row[c] *
+pivot_row) // d`` right of c, d the previous pivot: every division is exact
+(Sylvester's identity), so entries stay integer minors and no gcd is taken.
+``rank`` runs this pass alone.  ``_back_substitute`` solves the echelon rows
+u bottom up for just the columns f a caller reads, ``y_r = (D * u[r][f] -
+sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` with p_s the pivot columns and D
+the last pivot; y_r is an integer minor (Cramer's rule), so the division is
+exact, and y_r / D is entry (r, f) of the reduced row echelon form.
+``rational_nullspace`` reads the free columns, ``invert_rational`` the
+identity block of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -57,11 +62,10 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return IntMatrix.from_rows(cleared)
 
 
-def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan, in place; returns (rows, pivot columns, d)
-    with rows / d the reduced row echelon form (d = 1 without pivots)."""
-    nr = len(a)
-    nc = len(a[0]) if a else 0
+def _forward(a: list[list[int]]) -> tuple[list[int], int]:
+    """Forward pass in place; returns (pivot columns, last pivot or 1).  Row
+    r < rank holds the r-th echelon row from its pivot on; the rest is stale."""
+    nr, nc = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     d = 1
     for c in range(nc):
@@ -70,18 +74,31 @@ def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
         if row is None:
             continue
         a[r], a[row] = a[row], a[r]
-        top, p = a[r], a[r][c]
-        for i in range(nr):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], top)]
+        p, tail = a[r][c], a[r][c + 1:]
+        for x in a[r + 1:]:
+            f = x[c]
+            x[c + 1:] = [(p * u - f * v) // d for u, v in zip(x[c + 1:], tail)]
         d = p
         pivots.append(c)
-    return a, pivots, d
+    return pivots, d
+
+
+def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
+                     cols: list[int]) -> list[list[int]]:
+    """y[r][j] = d * entry (r, cols[j]) of the reduced row echelon form."""
+    y: list[list[int]] = []   # y[s - r - 1] is row s while row r is solved
+    for r in reversed(range(len(pivots))):
+        row = a[r]
+        acc = [d * row[f] for f in cols]
+        for k, ys in zip([row[c] for c in pivots[r + 1:]], y):
+            if k:
+                acc = [t - k * v for t, v in zip(acc, ys)]
+        y.insert(0, [t // row[pivots[r]] for t in acc])
+    return y
 
 
 def rank(m: IntMatrix) -> int:
-    return len(_eliminate(m.to_rows())[1])
+    return len(_forward(m.to_rows())[0])
 
 
 def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
@@ -90,14 +107,16 @@ def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
     Returns cols - rank(m) linearly independent vectors, each annihilated
     by m.  An empty matrix (no rows) has the full standard basis as kernel.
     """
-    nc = m.cols
-    rows, pivots, d = _eliminate(m.to_rows())
+    nc, rows = m.cols, m.to_rows()
+    pivots, d = _forward(rows)
+    free = [c for c in range(nc) if c not in pivots]
+    y = _back_substitute(rows, pivots, d, free)
     basis = []
-    for f in (c for c in range(nc) if c not in pivots):
+    for j, f in enumerate(free):
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][f], d)
+            v[pc] = Fraction(-y[r][j], d)
         basis.append(tuple(v))
     return basis
 
@@ -109,7 +128,8 @@ def invert_rational(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fract
         raise ValueError("matrix must be square")
     aug = from_rational_rows([list(row) + [int(i == j) for j in range(n)]
                               for i, row in enumerate(rows)]).to_rows()
-    reduced, pivots, d = _eliminate(aug)
+    pivots, d = _forward(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, d) for x in row[n:]] for row in reduced]
+    y = _back_substitute(aug, pivots, d, list(range(n, 2 * n)))
+    return [[Fraction(x, d) for x in row] for row in y]

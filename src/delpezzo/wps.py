@@ -29,7 +29,10 @@ the denominators.  That scales the value of a form of degree d by t**d, a
 first partial d/dx_i by t**(d - w_i) and a second partial d2/dx_a dx_b by
 t**(d - w_a - w_b), so vanishing and ranks are unchanged.  Forms are
 likewise cleared to integer coefficients, and the first and second partials
-of each form are computed once, not once per node.
+of each form are computed once, not once per node.  Each node gives the
+builder dim W + 1 constraint rows, one per first partial: in positive degree
+the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish wherever
+the gradient does, so the value row is left out (degree 0 keeps it).
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -283,15 +286,19 @@ def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     return norm
 
 
-def _node_constraint_rows(monos: list[Mono],
-                          points: list[tuple[int, ...]]) -> list[list[int]]:
-    """Value and first-partial rows of the monomials at integer points."""
+def _node_constraint_rows(monos: list[Mono], points: list[tuple[int, ...]],
+                          degree: int) -> list[list[int]]:
+    """First-partial rows of the monomials at integer points, and value
+    rows in degree 0 only: for degree > 0 the Euler identity
+    deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in the span of
+    the partial rows, so dropping it leaves the row space unchanged."""
     nvars = len(monos[0])
     lowered = [[(e[i], _lowered(e, i) if e[i] else e) for e in monos]
                for i in range(nvars)]
     rows = []
     for q in points:
-        rows.append([prod(map(pow, q, e)) for e in monos])
+        if degree == 0:
+            rows.append([prod(map(pow, q, e)) for e in monos])
         for i in range(nvars):
             rows.append([k * prod(map(pow, q, d)) if k else 0
                          for k, d in lowered[i]])
@@ -317,7 +324,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
         raise NoSolution(f"no monomials of degree {degree}")
     if norm:
         constraints = lattice.from_rational_rows(
-            _node_constraint_rows(monos, points))
+            _node_constraint_rows(monos, points, degree))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)

@@ -153,6 +153,16 @@ def test_defect_builds_when_no_coefficients(tmp_path, capsys):
     assert json.loads(out)["delta"] == 0
 
 
+def test_degree_zero_with_a_node_has_no_solution(tmp_path, capsys):
+    # degree 0 keeps the value row: the Euler identity puts it in the span
+    # of the partial rows only in positive degree
+    inst = tmp_path / "constant.hyp"
+    inst.write_text("weights 1 1 1 1 1\ndegree 0\nnode 1 0 0 0 0\n")
+    code, out, err = run(capsys, "defect", str(inst))
+    assert (code, out) == (2, "")
+    assert err == "error [NoSolution/10]: node constraints force the zero form\n"
+
+
 def test_defect_rejects_singular_node(tmp_path, capsys):
     inst = tmp_path / "sing.hyp"
     inst.write_text("weights 1 1 1 2 3\ndegree 6\nnode 0 0 0 1 0\n")

@@ -197,3 +197,14 @@ def test_parse_intersection_expr():
         parse_intersection_expr("(H-E)^2")
     with pytest.raises(InstanceFormatError):
         parse_intersection_expr("(H-E")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(H-)^3", "col 3: expected a signed term like 2H, -E or +D"),
+    ("(H - )^3", "col 4: expected a signed term like 2H, -E or +D"),
+    ("H * (2H+h) * E", "col 6: expected a class over one basis, {H,E} or {h,D}"),
+])
+def test_intersection_expr_errors_name_the_column_in_the_expression(text, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_intersection_expr(text)
+    assert str(info.value) == message

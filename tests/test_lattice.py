@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.lattice import (IntMatrix, _eliminate, from_rational_rows,
+from delpezzo.lattice import (IntMatrix, _forward, from_rational_rows,
                               invert_rational, rank, rational_nullspace)
 from oracles import det_int, fraction_inverse, fraction_nullspace, fraction_rank
 
@@ -59,18 +59,20 @@ def test_invert_rational_round_trip():
 
 # -- the fraction-free kernel against Gauss-Jordan over Fraction --------------
 
-small_ints = st.integers(-9, 9)
-small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+# toward the builder's scale, where a 12-node sextic reduces 60 x 64 rows
+MAX_SIZE = 14
+wide_ints = st.integers(-1000, 1000)
+wide_fractions = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 7))
 
 
 @st.composite
 def deficient_rows(draw, entries, square=False):
     """(rows, cols) of a product of an nr x k and a k x nc matrix with
-    k <= min(nr, nc), so usually rank deficient, with some columns zeroed.
-    Zero rows are allowed."""
-    nr = draw(st.integers(0, 7))
-    nc = nr if square else draw(st.integers(0, 7))
-    k = draw(st.integers(0, min(nr, nc)))
+    k < min(nr, nc), so rank deficient unless a side is 0, with some columns
+    zeroed.  Zero rows are allowed."""
+    nr = draw(st.integers(0, MAX_SIZE))
+    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    k = draw(st.integers(0, max(min(nr, nc) - 1, 0)))
     left = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
                          min_size=nr, max_size=nr))
     right = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
@@ -81,12 +83,21 @@ def deficient_rows(draw, entries, square=False):
     return rows, nc
 
 
+@st.composite
+def random_rows(draw, entries, square=False):
+    """(rows, cols) with independent entries, so usually of full rank."""
+    nr = draw(st.integers(0, MAX_SIZE))
+    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr)), nc
+
+
 def _int_matrix(rows, nc):
     return IntMatrix(len(rows), nc, tuple(x for row in rows for x in row))
 
 
-@settings(max_examples=300)
-@given(deficient_rows(small_ints))
+@settings(max_examples=200, deadline=None)
+@given(deficient_rows(wide_ints) | random_rows(wide_ints))
 def test_integer_kernel_matches_fraction_reference(case):
     rows, nc = case
     m = _int_matrix(rows, nc)
@@ -95,8 +106,8 @@ def test_integer_kernel_matches_fraction_reference(case):
     assert rank(m) == m.cols - len(rational_nullspace(m))
 
 
-@settings(max_examples=300)
-@given(deficient_rows(small_fractions))
+@settings(max_examples=200, deadline=None)
+@given(deficient_rows(wide_fractions) | random_rows(wide_fractions))
 def test_rational_kernel_matches_fraction_reference(case):
     rows, nc = case
     assume(rows)
@@ -105,12 +116,9 @@ def test_rational_kernel_matches_fraction_reference(case):
     assert rational_nullspace(m) == fraction_nullspace(rows, nc)
 
 
-@settings(max_examples=200)
-@given(st.one_of(
-    deficient_rows(small_fractions, square=True),
-    st.integers(0, 6).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(small_fractions, min_size=n, max_size=n),
-                 min_size=n, max_size=n), st.just(n)))))
+@settings(max_examples=200, deadline=None)
+@given(deficient_rows(wide_fractions, square=True)
+       | random_rows(wide_fractions, square=True))
 def test_invert_matches_fraction_reference(case):
     rows, _ = case
     expected = fraction_inverse(rows)
@@ -127,14 +135,14 @@ def test_invert_matches_fraction_reference(case):
                        min_size=n, max_size=n)))
 def test_last_pivot_is_the_determinant(rows):
     det = det_int(rows)
-    _, pivots, d = _eliminate([list(row) for row in rows])
+    pivots, d = _forward([list(row) for row in rows])
     assert (len(pivots) == len(rows)) == (det != 0)
     if det:
         assert abs(d) == abs(det)
 
 
 @settings(max_examples=60, deadline=None)
-@given(deficient_rows(small_ints))
+@given(deficient_rows(wide_ints) | random_rows(wide_ints))
 def test_rank_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     rows, nc = case

@@ -9,7 +9,10 @@ call to ``{name: [k0 rank, K_{-1} rank, quiver vertex count or null]}``,
 or to the exception class and message.  Quivers are recorded by vertex
 count only: a raw ``Quiver`` repr prints a frozenset whose order follows
 the hash seed.  The file was recorded before the degree-5 pieces moved
-into the catalog, and must not move.
+into the catalog, and must not move.  The one exception so far: the ten
+``(H-)^3`` entries were re-recorded when a malformed class in an
+intersection expression began to name its column in the expression, with
+no line.
 """
 
 import contextlib

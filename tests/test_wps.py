@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -11,10 +11,11 @@ from delpezzo import dsl
 from delpezzo.errors import (DegreeTooLarge, InvariantViolation, NegativeLDegree,
                              NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
-from delpezzo.wps import (NodalHypersurface, WeightedSpace, adjoint_degree,
-                          apply_linear_change, build_nodal_hypersurface,
-                          defect, enumerate_monomials, hessian_rank, poly_eval,
-                          poly_partial)
+from delpezzo.lattice import IntMatrix, rational_nullspace
+from delpezzo.wps import (NodalHypersurface, WeightedSpace, _node_constraint_rows,
+                          adjoint_degree, apply_linear_change,
+                          build_nodal_hypersurface, defect, enumerate_monomials,
+                          hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
                      fraction_build, fraction_defect, fraction_linear_change,
                      weighted_hessian_rank)
@@ -287,6 +288,54 @@ def test_builder_matches_fraction_reference(case, seed):
         fraction_defect(space.weights, degree, hyp.nodes)
     again = NodalHypersurface.checked(space, degree, hyp.coefficients, nodes)
     assert again == hyp
+
+
+# integer nodes in general position: six on a cubic threefold, seven on a
+# quartic double solid
+INTEGER_BUILDS = [
+    (P4, 3, [(1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0),
+             (1, 0, 0, 0, 1), (1, 2, -1, 3, -2)]),
+    (P11112, 4, [(1, 0, 0, 0, 0), (1, 1, 0, 0, 1), (1, 0, 1, 0, -1), (1, 0, 0, 1, 2),
+                 (1, 1, 1, 0, 0), (1, -1, 2, 1, 1), (1, 2, -1, -2, -2)]),
+]
+
+
+@pytest.mark.parametrize("space,degree,nodes", INTEGER_BUILDS,
+                         ids=["cubic-6n", "quartic-7n"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_integer_builds_match_fraction_reference(space, degree, nodes, seed):
+    # the reference keeps the value rows and reduces over Fraction
+    expected = fraction_build(space.weights, degree, nodes, seed=seed)
+    hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
+    assert (hyp.coefficients, hyp.nodes) == expected
+    report = defect(hyp)
+    assert (report.mu, report.h0_L, report.eval_rank, report.delta) == \
+        fraction_defect(space.weights, degree, hyp.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([P4.weights, P11112.weights, P11123.weights]) | weight_lists,
+       st.integers(1, 6),
+       st.lists(st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+                min_size=1, max_size=3))
+def test_value_row_is_the_euler_combination_of_the_partial_rows(weights, degree,
+                                                                  points):
+    monos = brute_force_monomials(weights, degree)
+    assume(monos)
+    points = [tuple(q[:len(weights)]) for q in points]
+    rows = _node_constraint_rows(monos, points, degree)
+    n = len(weights)
+    assert len(rows) == n * len(points)
+    with_values = []
+    for k, q in enumerate(points):
+        partials = rows[k * n:(k + 1) * n]
+        value = [prod(map(pow, q, e)) for e in monos]
+        assert [degree * v for v in value] == \
+            [sum(w * x * row[j] for w, x, row in zip(weights, q, partials))
+             for j in range(len(monos))]
+        with_values += [value] + partials
+    assert rational_nullspace(IntMatrix.from_rows(rows)) == \
+        rational_nullspace(IntMatrix.from_rows(with_values))
 
 
 def assert_hessian_rank_needs_no_chart(hyp):
