@@ -3,9 +3,14 @@
 No floating point appears anywhere in this module.  One fraction-free
 kernel (Bareiss, Math. Comp. 22, 1968) runs on integer rows; rational input
 is cleared of denominators row by row first.  The forward pass ``_forward``
-sets each row below a pivot p in column c to ``(p * row - row[c] *
-pivot_row) // d`` right of c, d the previous pivot: every division is exact
-(Sylvester's identity), so entries stay integer minors and no gcd is taken.
+rewrites a row below a pivot p in column c only when its entry f = row[c]
+is nonzero, to ``(p * row - f * pivot_row) // last`` right of c, where last
+is the pivot under which the row was last rewritten (1 at first).  Bareiss
+scale factors telescope, so a row skipped since equals the dense pass's
+row times last / d, d the previous pivot: every division is exact
+(Sylvester's identity), entries stay integer minors and no gcd is taken.
+A stale row chosen as pivot is scaled by d / last from its pivot column on
+first, so pivots, last pivot and echelon rows are the dense pass's.
 ``rank`` runs this pass alone.  ``_back_substitute`` solves the echelon rows
 u bottom up for just the columns f a caller reads, ``y_r = (D * u[r][f] -
 sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` with p_s the pivot columns and D
@@ -46,7 +51,7 @@ class IntMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return cls(nr, nc, tuple(int(x) for r in rows for x in r))
+        return cls(nr, nc, tuple(x for r in rows for x in r))
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
@@ -68,16 +73,25 @@ def _forward(a: list[list[int]]) -> tuple[list[int], int]:
     nr, nc = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     d = 1
+    last = [1] * nr     # pivot under which row i was last rewritten
     for c in range(nc):
         r = len(pivots)
         row = next((i for i in range(r, nr) if a[i][c]), None)
         if row is None:
             continue
-        a[r], a[row] = a[row], a[r]
+        if row != r:
+            a[r], a[row] = a[row], a[r]
+            last[r], last[row] = last[row], last[r]
+        s = last[r]
+        if s != d:
+            a[r][c:] = [u * d // s for u in a[r][c:]]
         p, tail = a[r][c], a[r][c + 1:]
-        for x in a[r + 1:]:
+        for i in range(r + 1, nr):
+            x = a[i]
             f = x[c]
-            x[c + 1:] = [(p * u - f * v) // d for u, v in zip(x[c + 1:], tail)]
+            if f:
+                s, last[i] = last[i], p
+                x[c + 1:] = [(p * u - f * v) // s for u, v in zip(x[c + 1:], tail)]
         d = p
         pivots.append(c)
     return pivots, d
@@ -116,7 +130,8 @@ def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-y[r][j], d)
+            if y[r][j]:
+                v[pc] = Fraction(-y[r][j], d)
         basis.append(tuple(v))
     return basis
 

@@ -323,7 +323,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     if not monos:
         raise NoSolution(f"no monomials of degree {degree}")
     if norm:
-        constraints = lattice.from_rational_rows(
+        constraints = lattice.IntMatrix.from_rows(
             _node_constraint_rows(monos, points, degree))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())

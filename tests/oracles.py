@@ -1,13 +1,14 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the code paths they check: monomial counting by
-raw exponent search, determinants by Laplace expansion, ranks, kernels and inverses by Gauss-Jordan over
-``Fraction``, the seeded hypersurface builder and the defect with every
-value, kernel vector and chart Hessian over ``Fraction`` at chart-normalized
-nodes, the linear change of coordinates by expanding f(Ax) over
-``Fraction`` one linear factor at a time, quiver dimensions by a
-forbidden-factor automaton walk and quiver bases by a brute-force search
-of composable words.
+raw exponent search, determinants by Laplace expansion, ranks, kernels and
+inverses by Gauss-Jordan over ``Fraction``, the forward elimination pass by
+dense Bareiss that rewrites every row at every pivot, the seeded
+hypersurface builder and the defect with every value, kernel vector and
+chart Hessian over ``Fraction`` at chart-normalized nodes, the linear
+change of coordinates by expanding f(Ax) over ``Fraction`` one linear
+factor at a time, quiver dimensions by a forbidden-factor automaton walk
+and quiver bases by a brute-force search of composable words.
 """
 
 from __future__ import annotations
@@ -100,6 +101,30 @@ def fraction_inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced]
+
+
+def dense_forward(a):
+    """Dense fraction-free forward pass in place, the reference for
+    ``lattice._forward``: every row below a pivot p in column c is rewritten
+    right of c as ``(p * row - row[c] * pivot_row) // d``, d the previous
+    pivot, even when row[c] is 0.  Returns (pivot columns, last pivot or 1);
+    row r < rank holds the r-th echelon row from its pivot on."""
+    nr, nc = len(a), len(a[0]) if a else 0
+    pivots = []
+    d = 1
+    for c in range(nc):
+        r = len(pivots)
+        row = next((i for i in range(r, nr) if a[i][c]), None)
+        if row is None:
+            continue
+        a[r], a[row] = a[row], a[r]
+        p, tail = a[r][c], a[r][c + 1:]
+        for x in a[r + 1:]:
+            f = x[c]
+            x[c + 1:] = [(p * u - f * v) // d for u, v in zip(x[c + 1:], tail)]
+        d = p
+        pivots.append(c)
+    return pivots, d
 
 
 def monomial_value(e, p):

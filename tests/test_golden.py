@@ -19,9 +19,22 @@ zero.  Basis order, Cartan matrix and layout must not move.
 
 ``segre-cubic.hyp`` is not a build but a known special value: the Segre
 cubic, written by hand, whose defect is pinned at 5.
+
+``build-digests.json`` pins 50 more builds without storing their
+coefficients: general node sets, one for each count from 1 to 6 on the
+cubic, 1 to 7 on the quartic double solid and 1 to 12 on the sextic, drawn
+by perfbench's ``general_nodes`` from its ``BASE_SEED``, each built with
+seeds 0 and 1.  Each entry holds the SHA-256 of ``repr((coefficients,
+DefectReport))``, recorded with the dense Bareiss pass that
+``oracles.dense_forward`` keeps.
+
+``defect-survey.txt`` and ``replay-proofs.txt`` are the standard output of
+the two scripts under ``scripts/``, recorded with the same kernel; the CI
+workflow diffs each script's output against them under three hash seeds.
 """
 
 import json
+from hashlib import sha256
 from itertools import permutations
 from math import factorial, prod
 from pathlib import Path
@@ -42,6 +55,19 @@ def test_build_matches_golden(name):
     space, degree, nodes, _ = dsl.parse_instance(expected)
     hyp = wps.build_nodal_hypersurface(space, degree, nodes, seed=0)
     assert dsl.render_instance(hyp) == expected
+
+
+BUILD_DIGESTS = json.loads((GOLDEN / "build-digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", BUILD_DIGESTS, ids=lambda c: (
+    f"{c['degree']}-{len(c['nodes'])}n-seed{c['seed']}"))
+def test_build_digest_matches_golden(case):
+    space = wps.WeightedSpace(tuple(case["weights"]))
+    nodes = [tuple(p) for p in case["nodes"]]
+    hyp = wps.build_nodal_hypersurface(space, case["degree"], nodes, seed=case["seed"])
+    text = repr((hyp.coefficients, wps.defect(hyp)))
+    assert sha256(text.encode()).hexdigest() == case["sha256"]
 
 
 def test_segre_cubic_has_defect_five(capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from delpezzo.lattice import (IntMatrix, _forward, from_rational_rows,
                               invert_rational, rank, rational_nullspace)
-from oracles import det_int, fraction_inverse, fraction_nullspace, fraction_rank
+from oracles import (det_int, dense_forward, fraction_inverse, fraction_nullspace,
+                     fraction_rank)
 
 
 def _mat_mul(a, b):
@@ -46,6 +47,12 @@ def test_from_rational_rows_preserves_rank():
     m = from_rational_rows(rows)
     assert m.entries == (3, 2, 3, 1)
     assert rank(m) == 2
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
+def test_from_rows_rejects_non_integers(entry):
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[entry, 2], [1, 0]])
 
 
 def test_invert_rational_round_trip():
@@ -92,12 +99,34 @@ def random_rows(draw, entries, square=False):
                          min_size=nr, max_size=nr)), nc
 
 
+@st.composite
+def sparse_rows(draw, entries, square=False):
+    """(rows, cols) in which every row is at least half zeros, with zero
+    columns, zero rows and repeated rows, like the builder's node
+    constraints: most multipliers of the forward pass are 0."""
+    nr = draw(st.integers(0, MAX_SIZE))
+    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    cols = st.integers(0, max(nc - 1, 0))
+    zeroed = draw(st.sets(cols, max_size=nc))
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([0] * nc)
+        else:
+            support = draw(st.sets(cols, max_size=nc // 2)) - zeroed
+            rows.append([draw(entries) if j in support else 0 for j in range(nc)])
+    return rows, nc
+
+
 def _int_matrix(rows, nc):
     return IntMatrix(len(rows), nc, tuple(x for row in rows for x in row))
 
 
 @settings(max_examples=200, deadline=None)
-@given(deficient_rows(wide_ints) | random_rows(wide_ints))
+@given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints))
 def test_integer_kernel_matches_fraction_reference(case):
     rows, nc = case
     m = _int_matrix(rows, nc)
@@ -107,7 +136,8 @@ def test_integer_kernel_matches_fraction_reference(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(deficient_rows(wide_fractions) | random_rows(wide_fractions))
+@given(sparse_rows(wide_fractions) | deficient_rows(wide_fractions)
+       | random_rows(wide_fractions))
 def test_rational_kernel_matches_fraction_reference(case):
     rows, nc = case
     assume(rows)
@@ -117,7 +147,8 @@ def test_rational_kernel_matches_fraction_reference(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(deficient_rows(wide_fractions, square=True)
+@given(sparse_rows(wide_fractions, square=True)
+       | deficient_rows(wide_fractions, square=True)
        | random_rows(wide_fractions, square=True))
 def test_invert_matches_fraction_reference(case):
     rows, _ = case
@@ -127,6 +158,19 @@ def test_invert_matches_fraction_reference(case):
             invert_rational(rows)
     else:
         assert invert_rational(rows) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints))
+def test_forward_matches_dense_reference(case):
+    """Skipping the rows whose multiplier is 0 changes no pivot, no last
+    pivot and no echelon row from its pivot on."""
+    rows, _ = case
+    lazy, dense = [list(r) for r in rows], [list(r) for r in rows]
+    pivots, d = _forward(lazy)
+    assert (pivots, d) == dense_forward(dense)
+    for r, c in enumerate(pivots):
+        assert lazy[r][c:] == dense[r][c:]
 
 
 @settings(max_examples=100)
