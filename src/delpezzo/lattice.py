@@ -16,14 +16,16 @@ u bottom up for just the columns f a caller reads, ``y_r = (D * u[r][f] -
 sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` with p_s the pivot columns and D
 the last pivot; y_r is an integer minor (Cramer's rule), so the division is
 exact, and y_r / D is entry (r, f) of the reduced row echelon form.
-``rational_nullspace`` reads the free columns, ``invert_rational`` the
-identity block of ``[A | I]``.
+``rational_nullspace`` returns the integer basis D times the reduced form's
+kernel: D at the free column, each vector's last nonzero entry, and -y_r at
+pivot column p_r.  ``invert_rational`` reads the identity block of [A | I].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Sequence
 
@@ -41,7 +43,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count must equal rows * cols")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("entries must be integers")
 
     @classmethod
@@ -115,23 +117,25 @@ def rank(m: IntMatrix) -> int:
     return len(_forward(m.to_rows())[0])
 
 
-def rational_nullspace(m: IntMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of m over the rationals.
+def rational_nullspace(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Integer basis of the right kernel of m over the rationals.
 
-    Returns cols - rank(m) linearly independent vectors, each annihilated
-    by m.  An empty matrix (no rows) has the full standard basis as kernel.
+    Returns cols - rank(m) independent vectors of plain ints, each
+    annihilated by m: D times the reduced row echelon form's kernel vector
+    for each free column f, so D sits at f, its last nonzero entry.  D is
+    the last pivot of ``_forward``, 1 when m has no rows (standard basis).
     """
     nc, rows = m.cols, m.to_rows()
     pivots, d = _forward(rows)
+    d = int(d)   # a pivot never rewritten may be a bool
     free = [c for c in range(nc) if c not in pivots]
     y = _back_substitute(rows, pivots, d, free)
     basis = []
     for j, f in enumerate(free):
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
+        v = [0] * nc
+        v[f] = d
         for r, pc in enumerate(pivots):
-            if y[r][j]:
-                v[pc] = Fraction(-y[r][j], d)
+            v[pc] = -y[r][j]
         basis.append(tuple(v))
     return basis
 

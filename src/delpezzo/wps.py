@@ -216,7 +216,9 @@ def hessian_rank(second: list[list[Poly]], point) -> int:
     minor without the first one has the full rank.  Rescaling the point by
     t multiplies entry (a, b) by t**(deg - w_a - w_b), so any representative
     gives the same rank."""
-    j = next(i for i, c in enumerate(point) if c)
+    j = next((i for i, c in enumerate(point) if c), None)
+    if j is None:
+        raise InvalidNode("the zero tuple is not a point")
     others = [i for i in range(len(point)) if i != j]
     rows = [[0] * len(others) for _ in others]
     for r, a in enumerate(others):
@@ -293,15 +295,16 @@ def _node_constraint_rows(monos: list[Mono], points: list[tuple[int, ...]],
     deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in the span of
     the partial rows, so dropping it leaves the row space unchanged."""
     nvars = len(monos[0])
-    lowered = [[(e[i], _lowered(e, i) if e[i] else e) for e in monos]
-               for i in range(nvars)]
+    index: dict[Mono, int] = {}   # each distinct lowered monomial, once
+    lowered = [[(e[i], index.setdefault(_lowered(e, i), len(index)) if e[i] else 0)
+                for e in monos] for i in range(nvars)]
     rows = []
     for q in points:
         if degree == 0:
             rows.append([prod(map(pow, q, e)) for e in monos])
+        values = [prod(map(pow, q, d)) for d in index]
         for i in range(nvars):
-            rows.append([k * prod(map(pow, q, d)) if k else 0
-                         for k, d in lowered[i]])
+            rows.append([k * values[j] if k else 0 for k, j in lowered[i]])
     return rows
 
 
@@ -314,8 +317,10 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     solution space is drawn and redrawn (MAX_TRIES draws) until the chart
     Hessian has full rank at every node.  The system is assembled at the
     nodes' integer representatives, which scales each row and leaves the
-    kernel unchanged; draws mix the kernel scaled to integers, and only the
-    accepted draw is divided back.
+    kernel unchanged.  ``lattice.rational_nullspace`` returns the kernel
+    scaled to integers by one divisor D, the last Bareiss pivot, which sits
+    at each vector's free column; draws mix these integer vectors, and only
+    the accepted draw is divided by D.
     """
     norm = _prepare_nodes(space, nodes)
     points = [_integral(space, p) for p in norm]
@@ -330,9 +335,8 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     kernel = lattice.rational_nullspace(constraints)
     if not kernel:
         raise NoSolution("node constraints force the zero form")
-    den = lcm(*(x.denominator for v in kernel for x in v))
-    columns = list(zip(*([x.numerator * (den // x.denominator) for x in v]
-                         for v in kernel)))
+    den = next(filter(None, reversed(kernel[0])))   # D, at the free column
+    columns = list(zip(*kernel))
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         mix = [rng.randint(-9, 9) for _ in kernel]

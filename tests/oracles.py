@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: monomial counting by
 raw exponent search, determinants by Laplace expansion, ranks, kernels and
 inverses by Gauss-Jordan over ``Fraction``, the forward elimination pass by
-dense Bareiss that rewrites every row at every pivot, the seeded
+dense Bareiss that rewrites every row at every pivot, the node constraint
+rows by multiplying out every entry on its own, the seeded
 hypersurface builder and the defect with every value, kernel vector and
 chart Hessian over ``Fraction`` at chart-normalized nodes, the linear
 change of coordinates by expanding f(Ax) over ``Fraction`` one linear
@@ -125,6 +126,27 @@ def dense_forward(a):
         d = p
         pivots.append(c)
     return pivots, d
+
+
+def naive_constraint_rows(monos, points, degree):
+    """The builder's node constraint rows, the reference for
+    ``wps._node_constraint_rows``: at each integer point q the value row in
+    degree 0 only, then for each variable i the row e_i * q**(e - 1_i) over
+    the monomials e, every entry multiplied out on its own."""
+    def power(e, q):
+        v = 1
+        for ei, qi in zip(e, q):
+            for _ in range(ei):
+                v *= qi
+        return v
+
+    rows = []
+    for q in points:
+        if degree == 0:
+            rows.append([power(e, q) for e in monos])
+        for i in range(len(q)):
+            rows.append([e[i] * power(_lower(e, i), q) if e[i] else 0 for e in monos])
+    return rows
 
 
 def monomial_value(e, p):

@@ -27,6 +27,18 @@ def test_nullspace_hyperplane():
         assert sum(v) == 0
 
 
+@pytest.mark.parametrize("rows,kernel", [
+    ([[True, True]], [(-1, 1)]),
+    ([[False, True]], [(1, 0)]),
+    ([[1, 0, 0], [0, True, True]], [(0, -1, 1)]),
+])
+def test_nullspace_of_bool_entries_is_plain_ints(rows, kernel):
+    # the last pivot is an untouched True, so D must be converted to int
+    basis = rational_nullspace(IntMatrix.from_rows(rows))
+    assert basis == kernel
+    assert all(type(x) is int for v in basis for x in v)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_nullspace_random_rank3(seed):
     rng = random.Random(seed)
@@ -125,13 +137,26 @@ def _int_matrix(rows, nc):
     return IntMatrix(len(rows), nc, tuple(x for row in rows for x in row))
 
 
+def assert_integer_kernel(int_rows, nc, basis, expected):
+    """basis holds plain ints; every vector has D, the last pivot of
+    ``_forward``, at its free column as its last nonzero entry; and basis / D
+    is the Fraction reference ``expected``."""
+    pivots, d = _forward([list(r) for r in int_rows])
+    free = [c for c in range(nc) if c not in pivots]
+    assert all(type(x) is int for v in basis for x in v)
+    assert len(basis) == len(free)
+    assert [v[f] for v, f in zip(basis, free)] == [d] * len(free)
+    assert not any(x for v, f in zip(basis, free) for x in v[f + 1:])
+    assert [tuple(Fraction(x, d) for x in v) for v in basis] == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints))
 def test_integer_kernel_matches_fraction_reference(case):
     rows, nc = case
     m = _int_matrix(rows, nc)
     assert rank(m) == fraction_rank(rows)
-    assert rational_nullspace(m) == fraction_nullspace(rows, nc)
+    assert_integer_kernel(rows, nc, rational_nullspace(m), fraction_nullspace(rows, nc))
     assert rank(m) == m.cols - len(rational_nullspace(m))
 
 
@@ -143,7 +168,8 @@ def test_rational_kernel_matches_fraction_reference(case):
     assume(rows)
     m = from_rational_rows(rows)
     assert rank(m) == fraction_rank(rows)
-    assert rational_nullspace(m) == fraction_nullspace(rows, nc)
+    assert_integer_kernel(m.to_rows(), nc, rational_nullspace(m),
+                          fraction_nullspace(rows, nc))
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import dsl
-from delpezzo.errors import (DegreeTooLarge, InvariantViolation, NegativeLDegree,
-                             NodeAtAmbientSingularity, ToolError,
+from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
+                             NegativeLDegree, NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
 from delpezzo.lattice import IntMatrix, rational_nullspace
 from delpezzo.wps import (NodalHypersurface, WeightedSpace, _node_constraint_rows,
@@ -18,7 +18,7 @@ from delpezzo.wps import (NodalHypersurface, WeightedSpace, _node_constraint_row
                           hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
                      fraction_build, fraction_defect, fraction_linear_change,
-                     weighted_hessian_rank)
+                     naive_constraint_rows, weighted_hessian_rank)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
@@ -334,8 +334,38 @@ def test_value_row_is_the_euler_combination_of_the_partial_rows(weights, degree,
             [sum(w * x * row[j] for w, x, row in zip(weights, q, partials))
              for j in range(len(monos))]
         with_values += [value] + partials
-    assert rational_nullspace(IntMatrix.from_rows(rows)) == \
-        rational_nullspace(IntMatrix.from_rows(with_values))
+    # the two matrices have different last pivots D: compare basis / D
+    assert _over_d(rational_nullspace(IntMatrix.from_rows(rows))) == \
+        _over_d(rational_nullspace(IntMatrix.from_rows(with_values)))
+
+
+def _over_d(basis):
+    """An integer kernel basis divided by D, each vector's last nonzero entry."""
+    return [tuple(Fraction(x, next(filter(None, reversed(v)))) for x in v)
+            for v in basis]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P4.weights, P11112.weights, P11123.weights]) | weight_lists,
+       st.integers(0, 6),
+       st.lists(st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+                min_size=1, max_size=3))
+def test_constraint_rows_match_naive_assembly(weights, degree, points):
+    monos = brute_force_monomials(weights, degree)
+    assume(monos)
+    points = [tuple(q[:len(weights)]) for q in points]
+    rows = _node_constraint_rows(monos, points, degree)
+    assert rows == naive_constraint_rows(monos, points, degree)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_hessian_rank_rejects_the_zero_tuple():
+    poly = {(1, 1, 0, 0, 0): 1, (0, 0, 2, 0, 0): 1, (0, 0, 0, 1, 1): 1}
+    second = [[poly_partial(poly_partial(poly, a), b) for b in range(5)]
+              for a in range(5)]
+    with pytest.raises(InvalidNode, match="the zero tuple is not a point") as exc:
+        hessian_rank(second, (0, 0, 0, 0, 0))
+    assert exc.value.code == 16
 
 
 def assert_hessian_rank_needs_no_chart(hyp):
