@@ -31,9 +31,17 @@ DefectReport))``, recorded with the dense Bareiss pass that
 ``defect-survey.txt`` and ``replay-proofs.txt`` are the standard output of
 the two scripts under ``scripts/``, recorded with the same kernel; the CI
 workflow diffs each script's output against them under three hash seeds.
+
+``defect-reports.json`` holds the argv, exit code, stdout and stderr of
+``delpezzo defect <file> --seed 0``, as text and with ``--json``, for every
+``.hyp`` file here and under ``perfbench/instances/``, recorded while
+``NodalHypersurface.checked`` still evaluated each partial as a sparse
+polynomial; paths are relative to the repository root.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
 from itertools import permutations
 from math import factorial, prod
@@ -46,6 +54,7 @@ from delpezzo.cli import main
 from oracles import brute_force_monomials
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
 
 
 @pytest.mark.parametrize("name", ["cubic-6n.hyp", "sextic-12n.hyp",
@@ -91,3 +100,16 @@ def test_quiver_report_matches_golden(name, capsys):
     arg = str(source) if source.is_file() else name
     assert main(["quiver", arg, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+DEFECT_REPORTS = json.loads((GOLDEN / "defect-reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", DEFECT_REPORTS, ids=lambda c: " ".join(c["argv"][1:]))
+def test_defect_report_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(case["argv"])
+    assert (code, out.getvalue(), err.getvalue()) == \
+        (case["exit"], case["stdout"], case["stderr"])

@@ -168,6 +168,25 @@ def test_checked_constructor_validates():
         NodalHypersurface.checked(P4, 3, bad, hyp.nodes)
 
 
+def test_checked_names_the_first_failed_invariant():
+    hyp = build_nodal_hypersurface(P4, 3, [E4])
+    monos = hyp.monomials()
+    at = "at (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
+    # x4^3 is 1 at E4; x0 x4^2 vanishes there but its x0-partial does not;
+    # x0^3 vanishes to order 3, so its Hessian is zero
+    for bump, message in [((0, 0, 0, 0, 3), f"form does not vanish {at}"),
+                          ((1, 0, 0, 0, 2), f"gradient does not vanish {at}")]:
+        bad = list(hyp.coefficients)
+        bad[monos.index(bump)] += 1
+        with pytest.raises(InvariantViolation) as info:
+            NodalHypersurface.checked(P4, 3, bad, hyp.nodes)
+        assert str(info.value) == message
+    cube = [int(e == (3, 0, 0, 0, 0)) for e in monos]
+    with pytest.raises(InvariantViolation) as info:
+        NodalHypersurface.checked(P4, 3, cube, [E4])
+    assert str(info.value) == f"Hessian is degenerate {at}"
+
+
 def _random_weight_preserving(space, rng):
     n = len(space.weights)
     while True:
