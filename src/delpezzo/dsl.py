@@ -37,6 +37,7 @@ from .wps import NodalHypersurface, WeightedSpace, enumerate_monomials
 
 _NODE_RE = re.compile(r"^(O_E|O_D|O|CAT)\((.*)\)$")
 _TERM_RE = re.compile(r"([+-]?)(\d*)([HEhD])")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_class(text: str, line: int = 0, col: int = 0) -> DivisorClass:
@@ -262,8 +263,9 @@ def load_builtin_script(name: str) -> ReplayScript:
 # -- hypersurface instances (.hyp) ------------------------------------------
 
 def _parse_fraction(tok: str, line: int) -> Fraction:
+    """A rational token; plain decimal integers skip Fraction's string parser."""
     try:
-        return Fraction(tok)
+        return Fraction(int(tok)) if _INTEGER_RE.fullmatch(tok) else Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise InstanceFormatError(f"line {line}: bad rational {tok!r}") from None
 

@@ -31,7 +31,8 @@ class NoSolution(InputFault):
 
 
 class NodeAtAmbientSingularity(InputFault):
-    """A requested node sits at a singular point of the weighted space."""
+    """A requested node sits at a singular point of the weighted space, or
+    the hypersurface passes through one."""
     code = 11
 
 

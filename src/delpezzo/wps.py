@@ -28,11 +28,14 @@ its integer representative t.p, coordinate i times t**w_i for t the lcm of
 the denominators.  That scales the value of a form of degree d by t**d, a
 first partial d/dx_i by t**(d - w_i) and a second partial d2/dx_a dx_b by
 t**(d - w_a - w_b), so vanishing and ranks are unchanged.  Forms are
-likewise cleared to integer coefficients, and the first and second partials
-of each form are computed once, not once per node.  Each node gives the
-builder dim W + 1 constraint rows, one per first partial: in positive degree
-the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish wherever
-the gradient does, so the value row is left out (degree 0 keeps it).
+likewise cleared to integer coefficients.  One table per (weights, degree)
+gives each partial of each monomial as a factor and the lowered monomial's
+index: a form's partials are dense vectors, a node's monomial values one
+list per degree, and each partial at a node is one dot product; ``checked``
+and the builder's draws run one certificate per node.  The builder takes
+dim W + 1 constraint rows per node, one per first partial: in positive
+degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
+wherever the gradient does, so the value row is left out (degree 0 keeps it).
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -50,8 +53,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
-from operator import add, mul
+from math import gcd, lcm, perm, prod
+from operator import add, mul, sub
 
 from . import lattice
 from .errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
@@ -162,6 +165,30 @@ def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
     return tuple(sorted(tuple(e[k] for k in place) for e in found))
 
 
+@lru_cache(maxsize=64)
+def _derivatives(weights: tuple[int, ...], degree: int):
+    """(first, second, degrees, powers): first[i] and second[a, b], a <= b,
+    are (s, column) for d/dx_i and d2/dx_a dx_b, s the partial's degree and
+    column per basis monomial e the integer factor the partial puts on e (0
+    if it kills e) and the lowered monomial's index in the degree-s basis;
+    degrees lists every s, powers (i, index of x_i**(degree/w_i) or None)."""
+    monos, n = _monomials(weights, degree), len(weights)
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+    def partial(shift):
+        s = degree - sum(map(mul, shift, weights))
+        index = {m: k for k, m in enumerate(_monomials(weights, s))}
+        return s, tuple((k, index[tuple(map(sub, e, shift))]) if k else (0, 0)
+                        for e in monos for k in [prod(map(perm, e, shift))])
+
+    first = tuple(map(partial, unit))
+    second = {(a, b): partial(tuple(map(add, unit[a], unit[b])))
+              for a in range(n) for b in range(a, n)}
+    powers = [(i, monos.index(tuple(degree // w * u for u in unit[i]))
+                  if degree % w == 0 else None) for i, w in enumerate(weights) if w > 1]
+    return first, second, sorted({s for s, _ in (*first, *second.values())}), powers
+
+
 # -- exact polynomial helpers ---------------------------------------------
 
 def _poly_from_vector(monos: list[Mono], coeffs) -> Poly:
@@ -174,9 +201,6 @@ def _integral(space: WeightedSpace, p: Point) -> tuple[int, ...]:
     return tuple(c.numerator * (t ** w // c.denominator)
                  for w, c in zip(space.weights, p))
 
-def _lowered(e: Mono, i: int) -> Mono:
-    return e[:i] + (e[i] - 1,) + e[i + 1:]
-
 def poly_eval(poly: Poly, p: Point) -> Fraction | int:
     """Value at p; integer for an integer form at an integer point."""
     return sum(c * prod(map(pow, p, e)) for e, c in poly.items())
@@ -185,18 +209,34 @@ def poly_partial(poly: Poly, i: int) -> Poly:
     out: Poly = {}
     for e, c in poly.items():
         if e[i]:
-            d = _lowered(e, i)
+            d = e[:i] + (e[i] - 1,) + e[i + 1:]
             out[d] = out.get(d, 0) + c * e[i]
     return {e: c for e, c in out.items() if c != 0}
 
-def _partials(poly: Poly, nvars: int) -> tuple[list[Poly], list[list[Poly]]]:
-    """First partials f_i and the symmetric table of second partials f_ab."""
-    first = [poly_partial(poly, i) for i in range(nvars)]
-    second: list[list[Poly]] = [[{}] * nvars for _ in range(nvars)]
-    for a in range(nvars):
-        for b in range(a, nvars):
-            second[a][b] = second[b][a] = poly_partial(first[a], b)
-    return first, second
+def _jets(weights: tuple[int, ...], degree: int, form):
+    """(gradient, Hessian) of a form, each partial as (s, its dense vector
+    over the degree-s basis, onto which the kept monomials map in order)."""
+    first, second, _, _ = _derivatives(weights, degree)
+    jets = [(s, [k * c for (k, _), c in zip(column, form) if k])
+            for s, column in (*first, *second.values())]
+    return jets[:len(first)], dict(zip(second, jets[len(first):]))
+
+def _node_values(weights: tuple[int, ...], degree: int, q) -> dict[int, list]:
+    """The values at q of the monomials of every degree in the table."""
+    return {s: [prod(map(pow, q, m)) for m in _monomials(weights, s)]
+            for s in _derivatives(weights, degree)[2]}
+
+def _ambient_fault(space: WeightedSpace, degree: int, form):
+    """NodeAtAmbientSingularity if the form passes through a coordinate point
+    e_i with w_i > 1, where x_i**(degree/w_i) alone is nonzero, else None.
+    These are all of Sing W on P^4, P(1,1,1,1,2) and P(1,1,1,2,3), but only
+    part of it where two weights share a factor and Sing W has curves."""
+    for i, k in _derivatives(space.weights, degree)[3]:
+        if k is None or not form[k]:
+            e = ":".join(str(int(j == i)) for j in range(len(space.weights)))
+            return NodeAtAmbientSingularity(
+                f"the hypersurface passes through e{i} = ({e}), a singular point "
+                f"of P{space.weights}")
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
@@ -207,9 +247,9 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def hessian_rank(second: list[list[Poly]], point) -> int:
+def hessian_rank(second, point, values) -> int:
     """Rank of the weighted Hessian of a form at a point where its gradient
-    vanishes, from the second partials second[a][b] (see ``_partials``).
+    vanishes, from second[a, b] of ``_jets`` and ``_node_values`` there.
 
     The Euler relation gives sum_i w_i x_i F_ij = (deg - w_j) F_j = 0 there,
     so the row and column of a nonvanishing x_j depend on the others: the
@@ -223,8 +263,19 @@ def hessian_rank(second: list[list[Poly]], point) -> int:
     rows = [[0] * len(others) for _ in others]
     for r, a in enumerate(others):
         for c in range(r, len(others)):
-            rows[r][c] = rows[c][r] = poly_eval(second[a][others[c]], point)
+            s, vector = second[a, others[c]]
+            rows[r][c] = rows[c][r] = sum(map(mul, vector, values[s]))
     return lattice.rank(lattice.from_rational_rows(rows))
+
+
+def _is_node(poly: Poly, gradient, second, q, values, p) -> bool:
+    """The certificate at q, the integer point of the node p: raises unless
+    the form and its gradient vanish, tells whether the Hessian is full."""
+    if poly_eval(poly, q) != 0:
+        raise InvariantViolation(f"form does not vanish at {p}")
+    if any(sum(map(mul, vector, values[s])) for s, vector in gradient):
+        raise InvariantViolation(f"gradient does not vanish at {p}")
+    return hessian_rank(second, q, values) == len(q) - 1
 
 
 @dataclass(frozen=True)
@@ -234,10 +285,10 @@ class NodalHypersurface:
     Coefficients are exact rationals indexed by the lex-ordered monomial
     basis of the degree.  Nodes are stored as ``WeightedSpace.normalize``
     returns them.  At every node the form and its gradient vanish and the
-    weighted Hessian has rank 4.  ``checked`` certifies this on the integer
-    form (coefficients times the lcm of their denominators) at each node's
-    integer representative, reading the value, the gradient and the
-    Hessian from one table of partials of the form.
+    weighted Hessian has rank 4, and the hypersurface misses the coordinate
+    points of Sing W.  ``checked`` certifies this on the integer form
+    (coefficients times the lcm of their denominators) at each node's
+    integer representative, with the certificate ``_is_node``.
     """
 
     ambient: WeightedSpace
@@ -269,15 +320,13 @@ class NodalHypersurface:
         poly = _poly_from_vector(hyp.monomials(), form)
         if not poly:
             raise InvariantViolation("the zero form is not a hypersurface")
-        first, second = _partials(poly, len(ambient.weights))
+        jets = _jets(ambient.weights, degree, form)
         for p in norm:
             q = _integral(ambient, p)
-            if poly_eval(poly, q) != 0:
-                raise InvariantViolation(f"form does not vanish at {p}")
-            if any(poly_eval(f, q) != 0 for f in first):
-                raise InvariantViolation(f"gradient does not vanish at {p}")
-            if hessian_rank(second, q) != ambient.dim:
+            if not _is_node(poly, *jets, q, _node_values(ambient.weights, degree, q), p):
                 raise InvariantViolation(f"Hessian is degenerate at {p}")
+        if fault := _ambient_fault(ambient, degree, form):
+            raise fault
         return hyp
 
 
@@ -288,23 +337,19 @@ def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     return norm
 
 
-def _node_constraint_rows(monos: list[Mono], points: list[tuple[int, ...]],
-                          degree: int) -> list[list[int]]:
-    """First-partial rows of the monomials at integer points, and value
-    rows in degree 0 only: for degree > 0 the Euler identity
-    deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in the span of
-    the partial rows, so dropping it leaves the row space unchanged."""
-    nvars = len(monos[0])
-    index: dict[Mono, int] = {}   # each distinct lowered monomial, once
-    lowered = [[(e[i], index.setdefault(_lowered(e, i), len(index)) if e[i] else 0)
-                for e in monos] for i in range(nvars)]
+def _node_constraint_rows(weights: tuple[int, ...], degree: int,
+                          values: list[dict[int, list]]) -> list[list[int]]:
+    """First-partial rows of the monomials at points given by their
+    ``_node_values``, and value rows in degree 0 only: for degree > 0 the
+    Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in
+    the span of the partial rows, so dropping it leaves the row space the same."""
+    first = _derivatives(weights, degree)[0]
     rows = []
-    for q in points:
+    for vals in values:
         if degree == 0:
-            rows.append([prod(map(pow, q, e)) for e in monos])
-        values = [prod(map(pow, q, d)) for d in index]
-        for i in range(nvars):
-            rows.append([k * values[j] if k else 0 for k, j in lowered[i]])
+            rows.append([1])   # the value of the one monomial, the constant
+        rows += [[k * v[j] if k else 0 for k, j in column]
+                 for s, column in first for v in [vals[s]]]
     return rows
 
 
@@ -314,22 +359,24 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
 
     Vanishing of the form and its gradient at each node is an exact linear
     system on the coefficients; a seeded pseudo-random element of its
-    solution space is drawn and redrawn (MAX_TRIES draws) until the chart
-    Hessian has full rank at every node.  The system is assembled at the
-    nodes' integer representatives, which scales each row and leaves the
-    kernel unchanged.  ``lattice.rational_nullspace`` returns the kernel
-    scaled to integers by one divisor D, the last Bareiss pivot, which sits
-    at each vector's free column; draws mix these integer vectors, and only
-    the accepted draw is divided by D.
+    solution space is drawn and redrawn (MAX_TRIES draws) until ``checked``
+    would accept it (raising before any draw if every form passes through a
+    point of Sing W).  The system is assembled at the nodes' integer
+    representatives, which scales each row and leaves the kernel unchanged.
+    ``lattice.rational_nullspace`` returns the kernel scaled to integers by
+    one divisor D, the last Bareiss pivot, which sits at each vector's free
+    column; draws mix these integer vectors, and only the accepted draw is
+    divided by D.
     """
     norm = _prepare_nodes(space, nodes)
     points = [_integral(space, p) for p in norm]
     monos = enumerate_monomials(space, degree)
     if not monos:
         raise NoSolution(f"no monomials of degree {degree}")
+    values = [_node_values(space.weights, degree, q) for q in points]
     if norm:
         constraints = lattice.IntMatrix.from_rows(
-            _node_constraint_rows(monos, points, degree))
+            _node_constraint_rows(space.weights, degree, values))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)
@@ -337,16 +384,19 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
         raise NoSolution("node constraints force the zero form")
     den = next(filter(None, reversed(kernel[0])))   # D, at the free column
     columns = list(zip(*kernel))
+    if fault := _ambient_fault(space, degree, list(map(any, columns))):
+        raise fault
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         mix = [rng.randint(-9, 9) for _ in kernel]
         if not any(mix):
             continue
         coeffs = [sum(map(mul, mix, col)) for col in columns]
-        if not any(coeffs):
+        if not any(coeffs) or _ambient_fault(space, degree, coeffs):
             continue
-        _, second = _partials(_poly_from_vector(monos, coeffs), len(space.weights))
-        if all(hessian_rank(second, q) == space.dim for q in points):
+        poly = _poly_from_vector(monos, coeffs)
+        jets = _jets(space.weights, degree, coeffs)
+        if all(_is_node(poly, *jets, *node) for node in zip(points, values, norm)):
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, den) for c in coeffs), norm)
     raise NodalityFailed(

@@ -204,7 +204,9 @@ def fraction_build(weights, degree, nodes, seed=0, max_tries=64):
     At each chart-normalized node the value row and the first-partial rows
     of the monomials are assembled, the kernel is read off their reduced
     row echelon form, and kernel vectors are mixed with the same seeded
-    draw until the chart Hessian has full rank at every node."""
+    draw until the chart Hessian has full rank at every node and the form
+    is nonzero at each coordinate point of weight > 1; when every kernel
+    vector vanishes at one of them, no draw is made."""
     monos = brute_force_monomials(weights, degree)
     norm = [chart_normalize(weights, p) for p in nodes]
     rows = []
@@ -216,6 +218,13 @@ def fraction_build(weights, degree, nodes, seed=0, max_tries=64):
     kernel = fraction_nullspace(rows, len(monos))
     if not kernel:
         return "NoSolution"
+    # a form passes through the coordinate point e_i, singular when w_i > 1,
+    # exactly when it vanishes there
+    corners = [tuple(int(k == i) for k in range(len(weights)))
+               for i, w in enumerate(weights) if w > 1]
+    if any(all(_fraction_eval(dict(zip(monos, v)), e) == 0 for v in kernel)
+           for e in corners):
+        return "NodeAtAmbientSingularity"
     rng = random.Random(seed)
     for _ in range(max_tries):
         mix = [rng.randint(-9, 9) for _ in kernel]
@@ -223,7 +232,8 @@ def fraction_build(weights, degree, nodes, seed=0, max_tries=64):
             continue
         coeffs = [sum((m * v[k] for m, v in zip(mix, kernel)), Fraction(0))
                   for k in range(len(monos))]
-        if not any(coeffs):
+        if not any(coeffs) or any(_fraction_eval(dict(zip(monos, coeffs)), e) == 0
+                                  for e in corners):
             continue
         poly = {e: c for e, c in zip(monos, coeffs) if c != 0}
         if all(chart_hessian_rank(poly, node, j) == len(weights) - 1

@@ -220,12 +220,19 @@ def test_defect_refuses_a_degree_with_too_many_monomials(tmp_path, body, message
 
 
 def test_defect_answers_a_skewed_degree_with_few_monomials(tmp_path):
-    # 1,000 monomials, and 1,999 in the adjoint degree: within the bound
+    # 1,001 monomials, and 1,999 in the adjoint degree: within the bound;
+    # the degree is 1,000 times the heavy weight, so x1^1000 keeps the
+    # form off the singular point e1 = (0:1)
     inst = tmp_path / "skewed.hyp"
-    inst.write_text("weights 1 1000000007\ndegree 1000000000000\n")
+    inst.write_text("weights 1 1000000007\ndegree 1000000007000\n")
     proc = run_module("defect", "--json", str(inst), timeout=20)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h0_L"] == 1999
+    # no power of x1 has degree 10**12, so every such form passes through e1
+    inst.write_text("weights 1 1000000007\ndegree 1000000000000\n")
+    proc = run_module("defect", "--json", str(inst), timeout=20)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["name"] == "NodeAtAmbientSingularity"
 
 
 def test_quiver_subcommand(capsys):

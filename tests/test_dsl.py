@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from delpezzo.dsl import (builtin_script_names, load_builtin_script,
+from delpezzo.dsl import (_parse_fraction, builtin_script_names, load_builtin_script,
                           parse_class, parse_instance, parse_intersection_expr,
                           parse_node, parse_quiver, parse_script,
                           render_instance, render_script)
@@ -208,3 +208,31 @@ def test_intersection_expr_errors_name_the_column_in_the_expression(text, messag
     with pytest.raises(InstanceFormatError) as info:
         parse_intersection_expr(text)
     assert str(info.value) == message
+
+
+def _fraction_token(tok, line):
+    """The rational token parser that sends every token through Fraction."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceFormatError(f"line {line}: bad rational {tok!r}") from None
+
+
+def _outcome(parse, tok):
+    try:
+        value = parse(tok, 3)
+    except InstanceFormatError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+@given(st.text(st.sampled_from("0123456789+-/._eE \u0663\u00b2x"), max_size=8))
+@example("007")
+@example("-0")
+@example("+12")
+@example("1_000")
+@example("\u0663")
+@example("1/0")
+@example("")
+def test_integer_tokens_parse_like_fraction(tok):
+    assert _outcome(_parse_fraction, tok) == _outcome(_fraction_token, tok)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
                              NegativeLDegree, NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
 from delpezzo.lattice import IntMatrix, rational_nullspace
-from delpezzo.wps import (NodalHypersurface, WeightedSpace, _node_constraint_rows,
-                          adjoint_degree, apply_linear_change,
+from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _node_constraint_rows,
+                          _node_values, adjoint_degree, apply_linear_change,
                           build_nodal_hypersurface, defect, enumerate_monomials,
                           hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
@@ -102,6 +103,21 @@ def test_node_at_ambient_singularity_rejected():
         build_nodal_hypersurface(P11123, 6, [(0, 0, 0, 1, 0)])
 
 
+def test_hypersurface_through_a_singular_point_rejected():
+    # no power of the weight-2 variable has degree 3: every cubic on
+    # P(1,1,1,1,2) passes through e4, and no draw can help
+    with pytest.raises(NodeAtAmbientSingularity,
+                       match=r"through e4 = \(0:0:0:0:1\), a singular point") as info:
+        build_nodal_hypersurface(P11112, 3, [(1, 0, 0, 0, 0)])
+    assert info.value.code == 11
+    # a quartic double solid without its y^2 term passes through e4
+    hyp = build_nodal_hypersurface(P11112, 4, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
+    coeffs = list(hyp.coefficients)
+    coeffs[hyp.monomials().index((0, 0, 0, 0, 2))] = 0
+    with pytest.raises(NodeAtAmbientSingularity, match=r"through e4 = \(0:0:0:0:1\)"):
+        NodalHypersurface.checked(P11112, 4, coeffs, hyp.nodes)
+
+
 def test_node_without_chart_rejected():
     with pytest.raises(UnsupportedChart):
         build_nodal_hypersurface(P11123, 6, [(0, 0, 0, 1, 1)])
@@ -171,7 +187,7 @@ def test_checked_constructor_validates():
 def test_checked_names_the_first_failed_invariant():
     hyp = build_nodal_hypersurface(P4, 3, [E4])
     monos = hyp.monomials()
-    at = "at (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
+    at = f"at ({'Fraction(0, 1), ' * 4}Fraction(1, 1))"
     # x4^3 is 1 at E4; x0 x4^2 vanishes there but its x0-partial does not;
     # x0^3 vanishes to order 3, so its Hessian is zero
     for bump, message in [((0, 0, 0, 0, 3), f"form does not vanish {at}"),
@@ -342,7 +358,7 @@ def test_value_row_is_the_euler_combination_of_the_partial_rows(weights, degree,
     monos = brute_force_monomials(weights, degree)
     assume(monos)
     points = [tuple(q[:len(weights)]) for q in points]
-    rows = _node_constraint_rows(monos, points, degree)
+    rows = constraint_rows(weights, degree, points)
     n = len(weights)
     assert len(rows) == n * len(points)
     with_values = []
@@ -356,6 +372,12 @@ def test_value_row_is_the_euler_combination_of_the_partial_rows(weights, degree,
     # the two matrices have different last pivots D: compare basis / D
     assert _over_d(rational_nullspace(IntMatrix.from_rows(rows))) == \
         _over_d(rational_nullspace(IntMatrix.from_rows(with_values)))
+
+
+def constraint_rows(weights, degree, points):
+    weights = tuple(weights)
+    return _node_constraint_rows(weights, degree,
+                                 [_node_values(weights, degree, q) for q in points])
 
 
 def _over_d(basis):
@@ -373,17 +395,44 @@ def test_constraint_rows_match_naive_assembly(weights, degree, points):
     monos = brute_force_monomials(weights, degree)
     assume(monos)
     points = [tuple(q[:len(weights)]) for q in points]
-    rows = _node_constraint_rows(monos, points, degree)
+    rows = constraint_rows(weights, degree, points)
     assert rows == naive_constraint_rows(monos, points, degree)
     assert all(type(x) is int for row in rows for x in row)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P4.weights, P11112.weights, P11123.weights]) | weight_lists,
+       st.integers(0, 6), st.data())
+def test_jets_match_the_sparse_partials(weights, degree, data):
+    weights = tuple(weights)
+    monos = brute_force_monomials(weights, degree)
+    assume(monos)
+    n = len(weights)
+    form = data.draw(st.lists(st.integers(-9, 9), min_size=len(monos),
+                              max_size=len(monos)))
+    q = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    poly = {e: c for e, c in zip(monos, form) if c}
+    gradient, second = _jets(weights, degree, form)
+    values = _node_values(weights, degree, q)
+
+    def at(partial):
+        s, vector = partial
+        return sum(map(mul, vector, values[s]))
+
+    for i in range(n):
+        assert at(gradient[i]) == poly_eval(poly_partial(poly, i), q)
+        for j in range(n):
+            assert at(second[min(i, j), max(i, j)]) == \
+                poly_eval(poly_partial(poly_partial(poly, i), j), q)
+
+
 def test_hessian_rank_rejects_the_zero_tuple():
-    poly = {(1, 1, 0, 0, 0): 1, (0, 0, 2, 0, 0): 1, (0, 0, 0, 1, 1): 1}
-    second = [[poly_partial(poly_partial(poly, a), b) for b in range(5)]
-              for a in range(5)]
+    form = [{(1, 1, 0, 0, 0): 1, (0, 0, 2, 0, 0): 1, (0, 0, 0, 1, 1): 1}.get(e, 0)
+            for e in enumerate_monomials(P4, 2)]
+    _, second = _jets(P4.weights, 2, form)
+    zero = (0, 0, 0, 0, 0)
     with pytest.raises(InvalidNode, match="the zero tuple is not a point") as exc:
-        hessian_rank(second, (0, 0, 0, 0, 0))
+        hessian_rank(second, zero, _node_values(P4.weights, 2, zero))
     assert exc.value.code == 16
 
 
@@ -391,11 +440,10 @@ def assert_hessian_rank_needs_no_chart(hyp):
     """At every node, hessian_rank has the rank of the full weighted Hessian,
     dim W, and so does the minor without any nonvanishing coordinate."""
     poly = {m: c for m, c in zip(hyp.monomials(), hyp.coefficients) if c != 0}
-    n = len(hyp.ambient.weights)
-    second = [[poly_partial(poly_partial(poly, a), b) for b in range(n)]
-              for a in range(n)]
+    weights, degree = hyp.ambient.weights, hyp.degree
+    _, second = _jets(weights, degree, hyp.coefficients)
     for node in hyp.nodes:
-        rank = hessian_rank(second, node)
+        rank = hessian_rank(second, node, _node_values(weights, degree, node))
         assert rank == weighted_hessian_rank(poly, node) == hyp.ambient.dim
         for j, c in enumerate(node):
             if c != 0:
@@ -406,6 +454,12 @@ def assert_hessian_rank_needs_no_chart(hyp):
                                   "quartic-rational.hyp", "segre-cubic.hyp"])
 def test_hessian_rank_needs_no_chart_on_golden_files(name):
     space, degree, nodes, coeffs = dsl.parse_instance((GOLDEN / name).read_text())
+    if name == "sextic-12n.hyp":
+        # its x3^3 coefficient is 0: the sextic passes through e3
+        with pytest.raises(NodeAtAmbientSingularity,
+                           match=r"through e3 = \(0:0:0:1:0\), a singular point"):
+            NodalHypersurface.checked(space, degree, coeffs, nodes)
+        return
     assert_hessian_rank_needs_no_chart(
         NodalHypersurface.checked(space, degree, coeffs, nodes))
 
