@@ -5,6 +5,10 @@ degenerations.  Reports are printed as human-readable text by default and
 as JSON with --json; exit code 0 means success or a verdict was produced,
 1 a verification failure (a replay or comparison that does not check out),
 2 an input error.
+
+Each handler imports the modules its subcommand uses (``gate`` and
+``quiver`` never load ``wps``); ``replay`` stays a module-level name, the
+attribute ``cli.replay`` through which perfbench's tracer times replays.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog as cat
-from . import dsl, ktheory, quivers, wps
 from .errors import InstanceFormatError, ToolError, UndecodableInput
 from .intersection import BlowupGeometry, triple
+# `mutations`, kept for `cli.replay`, loads `sod` and `intersection` anyway
 from .mutations import replay
 from .sod import DISPLAY_NAMES, FactStore, Opaque, node_text
 
@@ -64,18 +67,19 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
 
 
 def _read_input(path: Path) -> str:
-    """Text of an input file.  Bytes that are not UTF-8, a directory and an
-    unreadable file are input faults naming the path."""
+    """Text of an input file.  Bytes that are not UTF-8, a missing path, a
+    directory and an unreadable file are input faults naming the path."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableInput(
             f"{path}: byte {exc.start} is not UTF-8 text") from None
-    except (IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         raise InstanceFormatError(f"{path}: {exc.strerror}") from None
 
 
 def _cmd_defect(args) -> int:
+    from . import dsl, wps
     text = _read_input(Path(args.instance))
     space, degree, nodes, coeffs = dsl.parse_instance(text)
     if coeffs is not None:
@@ -95,6 +99,7 @@ def _cmd_defect(args) -> int:
 
 
 def _resolve_script(name: str):
+    from . import dsl
     path = Path(name)
     if path.is_file():
         return dsl.parse_script(_read_input(path), name=path.stem)
@@ -124,6 +129,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from . import dsl
     kv = [a for a in args.args if a.startswith("d=")]
     rest = [a for a in args.args if not a.startswith("d=")]
     params = _parse_kv(kv, {"d": True})
@@ -137,15 +143,13 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
-_BUILTIN_QUIVERS = {
-    "single-burban": quivers.single_burban,
-    "double-burban": quivers.double_burban,
-}
+_BUILTIN_QUIVERS = ("single-burban", "double-burban")
 
 
 def _cmd_quiver(args) -> int:
+    from . import dsl, quivers
     if args.quiver in _BUILTIN_QUIVERS:
-        q = _BUILTIN_QUIVERS[args.quiver]()
+        q = getattr(quivers, args.quiver.replace("-", "_"))()
     elif Path(args.quiver).is_file():
         q = dsl.parse_quiver(_read_input(Path(args.quiver)))
     else:
@@ -172,6 +176,7 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
     entries = cat.entries_for(args.d)
     payload = {"entries": [e.to_dict() for e in entries]}
     lines = []
@@ -190,6 +195,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    from . import ktheory
     params = _parse_kv(args.args, {"d": True, "nodes": True})
     verdict = ktheory.kawamata_gate(params["d"], params["nodes"])
     payload = {"d": verdict.d, "nodes": verdict.node_count,
@@ -203,6 +209,7 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_degenerations(args) -> int:
+    from . import catalog as cat
     params = _parse_kv(args.args, {"d": True, "nodes": True})
     cases = cat.enumerate_degenerations(params["d"], params["nodes"])
     payload = {"d": params["d"], "nodes": params["nodes"],
@@ -288,9 +295,6 @@ def main(argv: list[str] | None = None) -> int:
                 and not getattr(args, "json", False):
             print(audit.text().rstrip("\n"), file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

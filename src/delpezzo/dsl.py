@@ -24,16 +24,19 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import (InstanceFormatError, NoRelationsForDegree, OutOfRangeDegree,
                      ScriptSyntaxError)
 from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, he,
                            hd, rewrite)
 from .mutations import RULES, SLOT, MutationRule, ReplayScript
-from .quivers import Quiver
 from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
                   decomposition_text, standard_opaque)
-from .wps import NodalHypersurface, WeightedSpace, enumerate_monomials
+
+if TYPE_CHECKING:
+    from .quivers import Quiver
+    from .wps import NodalHypersurface
 
 _NODE_RE = re.compile(r"^(O_E|O_D|O|CAT)\((.*)\)$")
 _TERM_RE = re.compile(r"([+-]?)(\d*)([HEhD])")
@@ -279,6 +282,7 @@ def _parse_int(tok: str, line: int) -> int:
 
 def parse_instance(text: str):
     """Parse a .hyp file into (space, degree, nodes, coefficients or None)."""
+    from .wps import WeightedSpace, enumerate_monomials
     space = degree = None
     nodes: list[tuple[Fraction, ...]] = []
     coeffs: list[Fraction] | None = None
@@ -331,6 +335,7 @@ def parse_quiver(text: str) -> Quiver:
     'relation <arrow names...>' lines.  Duplicate vertices, duplicate arrow
     names and arrow endpoints that no 'vertices' line declares are format
     errors naming their line."""
+    from .quivers import Quiver
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     arrow_lines: dict[str, int] = {}

@@ -13,6 +13,7 @@ kind exist exactly for degrees 5 and 6.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -122,9 +123,12 @@ def k0_total(dec: Decomposition,
 def consistency_check(replayed: Decomposition, nodes_c: int,
                       nodes_q: int = 0) -> bool:
     """The summed K_{-1} rank of a replayed decomposition must equal the
-    total node count of the threefold (center nodes plus image nodes)."""
-    d = int(replayed.ambient.lstrip("YVW"))
-    models = standard_models(d, nodes_c, nodes_q)
+    total node count of the threefold (center nodes plus image nodes).  The
+    degree is read off the ambient name, Y<d>, V<d> or W<d>."""
+    match = re.fullmatch(r"[YVW](\d+)", replayed.ambient)
+    if match is None:
+        raise InvalidDegree(f"ambient {replayed.ambient!r} is not Y<d>, V<d> or W<d>")
+    models = standard_models(int(match.group(1)), nodes_c, nodes_q)
     return k_minus1_total(replayed, models) == nodes_c + nodes_q
 
 

@@ -319,6 +319,18 @@ def test_defect_on_a_directory_is_an_input_fault(tmp_path):
     assert str(folder) in error["message"]
 
 
+def test_defect_on_a_missing_file_is_an_input_fault(capsys, tmp_path):
+    missing = tmp_path / "absent.hyp"
+    code, out, err = run(capsys, "defect", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error [InstanceFormatError/71]: {missing}: No such file or directory\n"
+    code, out, err = run(capsys, "defect", str(missing), "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "name": "InstanceFormatError", "code": 71,
+        "message": f"{missing}: No such file or directory"}
+
+
 def test_quiver_unknown_name(capsys):
     code, _, err = run(capsys, "quiver", "missing-quiver")
     assert code == 2

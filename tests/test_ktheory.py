@@ -1,7 +1,8 @@
 import pytest
 
 from delpezzo.dsl import load_builtin_script
-from delpezzo.errors import InvalidDegree, SmoothInput, UnmodeledComponent
+from delpezzo.errors import (InvalidDegree, SmoothInput, UnmodeledComponent,
+                             UnsupportedDegree)
 from delpezzo.intersection import BlowupGeometry, he
 from delpezzo.ktheory import (ComponentModel, KProfile, consistency_check,
                               k0_total, k_minus1_total, kawamata_gate,
@@ -97,6 +98,14 @@ def test_consistency_check_detects_dropped_component():
     assert consistency_check(final, 2, 1)
     truncated = Decomposition(final.ambient, final.nodes[1:])
     assert not consistency_check(truncated, 2, 1)
+
+
+@pytest.mark.parametrize("ambient, error", [
+    ("Y", InvalidDegree), ("X5", InvalidDegree), ("Y7", UnsupportedDegree)])
+def test_consistency_check_needs_a_modeled_degree_in_the_ambient(ambient, error):
+    with pytest.raises(error) as exc:
+        consistency_check(Decomposition(ambient, ()), 1)
+    assert exc.value.code == {InvalidDegree: 51, UnsupportedDegree: 61}[error]
 
 
 def test_gate_exists_only_for_five_and_six():
