@@ -10,7 +10,7 @@ degree-5 piece tables are the one source of those pieces' shapes and quivers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded, OutOfRangeDegree, UnknownDegree, UnsupportedDegree
 from .quivers import double_burban, single_burban
@@ -27,9 +27,6 @@ class DelPezzoEntry:
     curve_bidegree: tuple[int, int] | None
     curve: str | None
     a_v_shape: str | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 ENTRIES: tuple[DelPezzoEntry, ...] = (

@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands: defect, replay, intersect, quiver, catalog, gate,
-degenerations.  Reports are printed as human-readable text by default and
-as JSON with --json; exit code 0 means success or a verdict was produced,
-1 a verification failure (a replay or comparison that does not check out),
-2 an input error.
+Each row of ``SUBCOMMANDS`` names a subcommand, its handler, help and
+arguments.  A handler returns (JSON payload, text lines) or raises a
+ToolError; ``main`` alone prints either: the payload under --json, the
+first line under --quiet, every line otherwise.  Exit code 0 means success
+or a verdict, 1 a verification failure (a replay or comparison that does
+not check out), 2 an input error; a reader closing stdout early changes none.
 
 Each handler imports the modules its subcommand uses (``gate`` and
 ``quiver`` never load ``wps``); ``replay`` stays a module-level name, the
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InstanceFormatError, ToolError, UndecodableInput
@@ -31,20 +34,6 @@ def _pretty_node(node, basis, d) -> str:
         return DISPLAY_NAMES.get(node.name, node.name)
     text = node_text(node, basis, d)
     return "O" if text == "O(0)" else text
-
-
-def _pretty_decomposition(dec, basis, d) -> str:
-    return "<" + ", ".join(_pretty_node(n, basis, d) for n in dec.nodes) + ">"
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif not args.quiet:
-        for line in text_lines:
-            print(line)
-    elif text_lines:
-        print(text_lines[0])
 
 
 def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
@@ -78,7 +67,7 @@ def _read_input(path: Path) -> str:
         raise InstanceFormatError(f"{path}: {exc.strerror}") from None
 
 
-def _cmd_defect(args) -> int:
+def _cmd_defect(args) -> tuple[dict, list[str]]:
     from . import dsl, wps
     text = _read_input(Path(args.instance))
     space, degree, nodes, coeffs = dsl.parse_instance(text)
@@ -90,12 +79,11 @@ def _cmd_defect(args) -> int:
     payload = {"weights": list(space.weights), "degree": degree,
                "mu": report.mu, "h0_L": report.h0_L,
                "eval_rank": report.eval_rank, "delta": report.delta}
-    _emit(args, payload, [
+    return payload, [
         f"hypersurface of degree {degree} on P{space.weights}",
         f"mu = {report.mu}, h0(L) = {report.h0_L}, "
         f"evaluation rank = {report.eval_rank}, defect = {report.delta}",
-    ])
-    return 0
+    ]
 
 
 def _resolve_script(name: str):
@@ -106,11 +94,10 @@ def _resolve_script(name: str):
     return dsl.load_builtin_script(name)
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[dict, list[str]]:
     script = _resolve_script(args.script)
     store = FactStore()
-    geom = BlowupGeometry(script.d)
-    final, audit = replay(script, store, geom)
+    final, audit = replay(script, store, BlowupGeometry(script.d))
     basis, d = script.display_basis, script.d
     payload = {
         "script": script.name,
@@ -120,15 +107,12 @@ def _cmd_replay(args) -> int:
         "facts": store.dump(),
         "ok": True,
     }
-    lines = [f"replayed {script.name}: final "
-             f"{_pretty_decomposition(final, basis, d)}"]
-    if not args.quiet:
-        lines += ["", audit.text().rstrip("\n")]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"replayed {script.name}: final <"
+                     + ", ".join(payload["final"]) + ">",
+                     "", audit.text().rstrip("\n")]
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> tuple[dict, list[str]]:
     from . import dsl
     kv = [a for a in args.args if a.startswith("d=")]
     rest = [a for a in args.args if not a.startswith("d=")]
@@ -136,17 +120,15 @@ def _cmd_intersect(args) -> int:
     if len(rest) != 1:
         raise InstanceFormatError("expected exactly one product expression")
     factors = dsl.parse_intersection_expr(rest[0])
-    geom = BlowupGeometry(params["d"])
-    value = triple(geom, *factors)
-    _emit(args, {"d": params["d"], "expr": rest[0], "value": value},
-          [f"{rest[0]} = {value} on Y{params['d']}"])
-    return 0
+    value = triple(BlowupGeometry(params["d"]), *factors)
+    return ({"d": params["d"], "expr": rest[0], "value": value},
+            [f"{rest[0]} = {value} on Y{params['d']}"])
 
 
 _BUILTIN_QUIVERS = ("single-burban", "double-burban")
 
 
-def _cmd_quiver(args) -> int:
+def _cmd_quiver(args) -> tuple[dict, list[str]]:
     from . import dsl, quivers
     if args.quiver in _BUILTIN_QUIVERS:
         q = getattr(quivers, args.quiver.replace("-", "_"))()
@@ -165,20 +147,18 @@ def _cmd_quiver(args) -> int:
         "k0_rank": report.k0_rank,
     }
     dim = "infinite" if report.dimension is None else str(report.dimension)
-    lines = [f"path algebra dimension: {dim}",
-             f"k0 rank: {report.k0_rank}"]
+    lines = [f"path algebra dimension: {dim}", f"k0 rank: {report.k0_rank}"]
     if report.dimension is not None:
         lines.append("basis: " + ", ".join(report.basis))
         lines.append("cartan: " + "; ".join(
             " ".join(str(x) for x in row) for row in report.cartan))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> tuple[dict, list[str]]:
     from . import catalog as cat
     entries = cat.entries_for(args.d)
-    payload = {"entries": [e.to_dict() for e in entries]}
+    payload = {"entries": [asdict(e) for e in entries]}
     lines = []
     for e in entries:
         name = f"V{e.d}" + ("'" if e.variant == "prime" else "")
@@ -190,11 +170,10 @@ def _cmd_catalog(args) -> int:
                          f"bidegree {e.curve_bidegree}, {e.curve}")
         if e.a_v_shape is not None:
             lines.append(f"  residual component: {e.a_v_shape}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_gate(args) -> int:
+def _cmd_gate(args) -> tuple[dict, list[str]]:
     from . import ktheory
     params = _parse_kv(args.args, {"d": True, "nodes": True})
     verdict = ktheory.kawamata_gate(params["d"], params["nodes"])
@@ -204,11 +183,10 @@ def _cmd_gate(args) -> int:
                            for r in verdict.reasons]}
     lines = [f"d={verdict.d}, nodes={verdict.node_count}: {verdict.verdict}"]
     lines += [f"  [{r.code}] {r.detail}" for r in verdict.reasons]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_degenerations(args) -> int:
+def _cmd_degenerations(args) -> tuple[dict, list[str]]:
     from . import catalog as cat
     params = _parse_kv(args.args, {"d": True, "nodes": True})
     cases = cat.enumerate_degenerations(params["d"], params["nodes"])
@@ -219,8 +197,29 @@ def _cmd_degenerations(args) -> int:
     lines = [f"degenerations of V{params['d']} with {params['nodes']} nodes:"]
     lines += [f"  (nodes_C={c.nodes_c}, nodes_Q={c.nodes_q}): "
               f"A_C {c.a_c_shape}; A_Q {c.a_q_shape}" for c in cases]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
+
+
+# rows (name, handler, help, ((argument, add_argument keywords), ...))
+SUBCOMMANDS = (
+    ("defect", _cmd_defect, "defect report of a nodal hypersurface instance",
+     (("instance", {"help": "a .hyp instance file"}),
+      ("--seed", {"type": int, "default": 0,
+                  "help": "seed for the hypersurface coefficient draw"}))),
+    ("replay", _cmd_replay, "replay a mutation script and audit it",
+     (("script", {"help": "a .sod file or a builtin script name"}),)),
+    ("intersect", _cmd_intersect, "evaluate a trilinear intersection product",
+     (("args", {"nargs": "+", "metavar": "d=<n> <expr>"}),)),
+    ("quiver", _cmd_quiver, "path algebra report of a quiver",
+     (("quiver", {"help": "builtin name or a quiver file"}),)),
+    ("catalog", _cmd_catalog, "classification entries",
+     (("d", {"nargs": "?", "type": int, "default": None}),)),
+    ("gate", _cmd_gate, "Kawamata existence verdict",
+     (("args", {"nargs": "+", "metavar": "d=<n> nodes=<k>"}),)),
+    ("degenerations", _cmd_degenerations,
+     "node partitions for the degree-5 family",
+     (("args", {"nargs": "+", "metavar": "d=5 nodes=<k>"}),)),
+)
 
 
 @functools.cache
@@ -237,64 +236,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="delpezzo",
         description="exact computations around nodal del Pezzo threefolds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("defect", parents=[common],
-                       help="defect report of a nodal hypersurface instance")
-    p.add_argument("instance", help="a .hyp instance file")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the hypersurface coefficient draw")
-    p.set_defaults(func=_cmd_defect)
-
-    p = sub.add_parser("replay", parents=[common],
-                       help="replay a mutation script and audit it")
-    p.add_argument("script", help="a .sod file or a builtin script name")
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("intersect", parents=[common],
-                       help="evaluate a trilinear intersection product")
-    p.add_argument("args", nargs="+", metavar="d=<n> <expr>")
-    p.set_defaults(func=_cmd_intersect)
-
-    p = sub.add_parser("quiver", parents=[common],
-                       help="path algebra report of a quiver")
-    p.add_argument("quiver", help="builtin name or a quiver file")
-    p.set_defaults(func=_cmd_quiver)
-
-    p = sub.add_parser("catalog", parents=[common],
-                       help="classification entries")
-    p.add_argument("d", nargs="?", type=int, default=None)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("gate", parents=[common],
-                       help="Kawamata existence verdict")
-    p.add_argument("args", nargs="+", metavar="d=<n> nodes=<k>")
-    p.set_defaults(func=_cmd_gate)
-
-    p = sub.add_parser("degenerations", parents=[common],
-                       help="node partitions for the degree-5 family")
-    p.add_argument("args", nargs="+", metavar="d=5 nodes=<k>")
-    p.set_defaults(func=_cmd_degenerations)
+    for name, func, help_text, arguments in SUBCOMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    code, out = 0, sys.stdout
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except ToolError as exc:
-        payload = {"error": {"name": type(exc).__name__, "code": exc.code,
-                             "message": str(exc)}}
-        if getattr(args, "json", False):
-            print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
-        else:
-            print(f"error [{type(exc).__name__}/{exc.code}]: {exc}",
-                  file=sys.stderr)
-        audit = getattr(exc, "audit", None)
-        if audit is not None and not getattr(args, "quiet", False) \
-                and not getattr(args, "json", False):
-            print(audit.text().rstrip("\n"), file=sys.stderr)
-        return exc.exit_code
+        code, out, name = exc.exit_code, sys.stderr, type(exc).__name__
+        payload = {"error": {"name": name, "code": exc.code, "message": str(exc)}}
+        lines = [f"error [{name}/{exc.code}]: {exc}"]
+        if getattr(exc, "audit", None) is not None:
+            lines.append(exc.audit.text().rstrip("\n"))
+    if args.json:
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+    elif args.quiet:
+        lines = lines[:1]
+    try:
+        for line in lines:
+            print(line, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader left early: send the interpreter's exit flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ line and column.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -43,6 +44,16 @@ _TERM_RE = re.compile(r"([+-]?)(\d*)([HEhD])")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
+def _read_int(digits: str, line: int, col: int) -> int:
+    """An integer token that a pattern has matched.  One longer than
+    Python's int-string limit is a syntax error at its column."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScriptSyntaxError(line, col, "an integer of at most "
+                                f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_class(text: str, line: int = 0, col: int = 0) -> DivisorClass:
     """Parse '2H-E', '-h', 'D-2h' or '0' into a divisor class."""
     text = text.strip()
@@ -56,7 +67,7 @@ def parse_class(text: str, line: int = 0, col: int = 0) -> DivisorClass:
             raise ScriptSyntaxError(line, col + pos,
                                     "a signed term like 2H, -E or +D")
         sign = -1 if m.group(1) == "-" else 1
-        mag = int(m.group(2)) if m.group(2) else 1
+        mag = _read_int(m.group(2), line, col + m.start(2)) if m.group(2) else 1
         sym = m.group(3)
         coeffs[sym] = coeffs.get(sym, 0) + sign * mag
         pos = m.end()
@@ -118,7 +129,7 @@ class _Line:
         tok, col = self.take(None)
         if not re.fullmatch(r"-?\d+", tok):
             raise ScriptSyntaxError(self.number, col, what)
-        return int(tok)
+        return _read_int(tok, self.number, col)
 
     def done(self) -> None:
         tok = self.peek()
@@ -168,7 +179,8 @@ def _parse_rule(rule_id: str, ln: _Line) -> MutationRule:
             if m is None:
                 raise ScriptSyntaxError(ln.number, col, "a block like 1..2")
             (first, _), (second, _) = slots
-            fields[first], fields[second] = int(m.group(1)), int(m.group(2))
+            fields[first] = _read_int(m.group(1), ln.number, col)
+            fields[second] = _read_int(m.group(2), ln.number, col + m.start(2))
         else:
             name, spec = slots[0]
             if not spec:
@@ -197,7 +209,7 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
     m = re.fullmatch(r"d=(\d+)", tok)
     if m is None:
         raise ScriptSyntaxError(header.number, col, "d=<n>")
-    d = int(m.group(1))
+    d = _read_int(m.group(1), header.number, col + 2)
     header.done()
     try:
         BlowupGeometry(d)
@@ -383,45 +395,44 @@ def parse_quiver(text: str) -> Quiver:
 def parse_intersection_expr(text: str) -> list[DivisorClass]:
     """Parse a degree-3 product like '(H-E)^3' or 'H^2*E' into factors.
 
-    Spaces are ignored; a malformed class names its column in ``text``,
-    counted from 1, and no line."""
-    factors: list[DivisorClass] = []
+    Spaces are ignored; a malformed class or power names its column in
+    ``text``, counted from 1, and no line.  Powers are counted, not
+    expanded, so a huge one is refused without building its factors."""
+    terms: list[tuple[DivisorClass, int]] = []
     pos = 0
     cols = [i + 1 for i, ch in enumerate(text) if ch != " "]
     text = text.replace(" ", "")
-
-    def factor(start: int, end: int) -> DivisorClass:
-        try:
-            return parse_class(text[start:end], col=start)
-        except ScriptSyntaxError as exc:   # exc.col indexes the spaceless text
-            raise InstanceFormatError(
-                f"col {cols[exc.col]}: expected {exc.expected}") from None
-
-    while pos < len(text):
-        if factors and text[pos] == "*":
-            pos += 1
-        if pos < len(text) and text[pos] == "(":
-            end = text.find(")", pos)
-            if end < 0:
-                raise InstanceFormatError("unbalanced parenthesis")
-            cls = factor(pos + 1, end)
-            pos = end + 1
-        else:
-            m = re.match(r"-?\d*[HEhD]", text[pos:])
-            if m is None:
-                raise InstanceFormatError(
-                    f"expected a class factor at {text[pos:]!r}")
-            cls = factor(pos, pos + m.end())
-            pos += m.end()
-        power = 1
-        if pos < len(text) and text[pos] == "^":
-            m = re.match(r"\^(\d+)", text[pos:])
-            if m is None:
-                raise InstanceFormatError("expected an integer power after ^")
-            power = int(m.group(1))
-            pos += m.end()
-        factors.extend([cls] * power)
-    if len(factors) != 3:
+    try:   # a ScriptSyntaxError's col indexes the spaceless text
+        while pos < len(text):
+            if terms and text[pos] == "*":
+                pos += 1
+            if pos < len(text) and text[pos] == "(":
+                end = text.find(")", pos)
+                if end < 0:
+                    raise InstanceFormatError("unbalanced parenthesis")
+                cls = parse_class(text[pos + 1:end], col=pos + 1)
+                pos = end + 1
+            else:
+                m = re.match(r"-?\d*[HEhD]", text[pos:])
+                if m is None:
+                    raise InstanceFormatError(
+                        f"expected a class factor at {text[pos:]!r}")
+                cls = parse_class(text[pos:pos + m.end()], col=pos)
+                pos += m.end()
+            power = 1
+            if pos < len(text) and text[pos] == "^":
+                m = re.match(r"\^(\d+)", text[pos:])
+                if m is None:
+                    raise InstanceFormatError("expected an integer power after ^")
+                power = _read_int(m.group(1), 0, pos + 1)
+                pos += m.end()
+            terms.append((cls, power))
+    except ScriptSyntaxError as exc:
         raise InstanceFormatError(
-            f"intersection products are trilinear; got {len(factors)} factors")
-    return factors
+            f"col {cols[exc.col]}: expected {exc.expected}") from None
+    count = sum(power for _, power in terms)
+    if count != 3:
+        got = count if count < 10 ** 300 else "at least 10^300"
+        raise InstanceFormatError(
+            f"intersection products are trilinear; got {got} factors")
+    return [cls for cls, power in terms for _ in range(power)]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=60):
+MODULE_ENV = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_module(*argv, timeout=60, **options):
     """`python -m delpezzo <argv>` in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
     return subprocess.run([sys.executable, "-m", "delpezzo", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=MODULE_ENV,
+                          timeout=timeout, **options)
 
 
 def test_seed_belongs_to_defect_alone(capsys):
@@ -383,3 +388,104 @@ def test_parser_is_shared_but_calls_are_independent(capsys):
     assert first[3][1].startswith("d=5, nodes=2:")
     assert json.loads(first[2][1])["value"] == 1
     assert not first[1][1].lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("argv", [
+    ("defect", str(GOLDEN / "segre-cubic.hyp")),
+    ("replay", "prop-Y-to-V"),
+    ("replay", "prop-Y-to-W-5"),
+    ("intersect", "d=5", "(H-E)^3"),
+    ("quiver", "double-burban"),
+    ("quiver", str(GOLDEN / "cycle6-r3.quiver")),
+    ("catalog",),
+    ("catalog", "5"),
+    ("gate", "d=5", "nodes=2"),
+    ("gate", "d=3", "nodes=1"),
+    ("degenerations", "d=5", "nodes=3"),
+])
+def test_quiet_prints_the_first_line_of_the_text_report(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert run(capsys, *argv, "--quiet") == (code, out.splitlines(True)[0], err)
+
+
+def test_quiet_final_mismatch_prints_the_error_without_the_audit(tmp_path, capsys):
+    text = render_script(load_builtin_script("prop-Y-to-W-5"))
+    bad = tmp_path / "mismatch.sod"
+    bad.write_text(text.replace("O(0), O(h)>", "O(h), O(0)>"))
+    code, out, err = run(capsys, "replay", str(bad), "--quiet")
+    assert (code, out) == (1, "")
+    assert err.startswith("error [FinalMismatch/33]: final decomposition differs")
+    full = run(capsys, "replay", str(bad))
+    assert full[:2] == (1, "")
+    assert full[2].startswith(err) and len(full[2]) > len(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("quiver", "double-burban", "--json"),
+    ("replay", "prop-Y-to-V"),
+    ("catalog", "--json"),
+])
+def test_a_closed_stdout_ends_quietly_with_the_command_exit_code(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "delpezzo", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=MODULE_ENV)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def _one_gigabyte_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("expr, got", [
+    ("H^10000000000", "10000000000"),
+    ("H^{0}*H^{0}".format("9" * 4300), "at least 10^300"),
+], ids=["ten-billion", "two-4300-digit-powers"])
+def test_intersect_counts_a_huge_power_instead_of_expanding_it(expr, got):
+    proc = run_module("intersect", "d=5", expr,
+                      preexec_fn=_one_gigabyte_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error [InstanceFormatError/71]: intersection "
+                           f"products are trilinear; got {got} factors\n")
+
+
+_LONG = "7" * 5000   # over Python's int-string limit
+_TOO_LONG = f"expected an integer of at most {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("body, where", [
+    (f"ambient Y d=5\naxiom <O({_LONG}H), O(0)>\nexpect <O(0)>\n",
+     "line 2, col 10"),
+    (f"ambient Y d=5\naxiom <O(H)>\nexpect <O(-{_LONG}E)>\n",
+     "line 3, col 12"),
+    (f"ambient Y d=5\naxiom <O(H), O(0)>\nswap at {_LONG}\nexpect <O(0)>\n",
+     "line 3, col 9"),
+    (f"ambient Y d=5\naxiom <O(H)>\nserre_rotate left at {_LONG}..2\n"
+     "expect <O(0)>\n", "line 3, col 22"),
+    (f"ambient Y d=5\naxiom <O(H)>\nserre_rotate left at 1..{_LONG}\n"
+     "expect <O(0)>\n", "line 3, col 25"),
+    (f"ambient Y d={_LONG}\naxiom <O(H)>\nexpect <O(0)>\n", "line 1, col 13"),
+], ids=["axiom-class", "expect-class", "position", "block-start", "block-end",
+        "header-d"])
+def test_a_long_integer_in_a_script_is_a_syntax_error(tmp_path, capsys, body, where):
+    script = tmp_path / "long.sod"
+    script.write_text(body)
+    assert run(capsys, "replay", str(script)) == (
+        2, "", f"error [ScriptSyntaxError/70]: {where}: {_TOO_LONG}\n")
+
+
+@pytest.mark.parametrize("expr, col", [
+    (f"{_LONG}H^3", 1),
+    (f"H * (H-{_LONG}E)^2", 8),
+    (f"H^{_LONG}", 3),
+    (f"E^2 * H ^{_LONG}", 10),
+], ids=["class", "class-in-parens", "power", "power-after-space"])
+def test_a_long_integer_in_an_intersection_names_its_column(capsys, expr, col):
+    assert run(capsys, "intersect", "d=5", expr) == (
+        2, "", f"error [InstanceFormatError/71]: col {col}: {_TOO_LONG}\n")
