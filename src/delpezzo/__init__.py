@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in (
     ("catalog", "DelPezzoEntry DegenerationCase enumerate_degenerations lookup "
                 "singularity_budget"),
     ("intersection", "BASIS_HE BASIS_hD BlowupGeometry DivisorClass canonical_class "
-                     "he hd iskovskikh_degree rewrite triple"),
+                     "from_hd he iskovskikh_degree rewrite triple"),
     ("ktheory", "ComponentModel GateVerdict KProfile consistency_check k_minus1_total "
                 "k0_total kawamata_gate standard_models"),
     ("lattice", "IntMatrix rank rational_nullspace"),

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,19 +37,27 @@ def _pretty_node(node, basis, d) -> str:
     return "O" if text == "O(0)" else text
 
 
+def _echo(text: str, limit: int = 32) -> str:
+    """repr of a rejected argument, cut after its first `limit` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
+
+
 def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
     """Parse 'key=value' arguments; wanted maps key -> required."""
     out: dict[str, int] = {}
     for item in pairs:
         if "=" not in item:
-            raise InstanceFormatError(f"expected key=value, got {item!r}")
+            raise InstanceFormatError(f"expected key=value, got {_echo(item)}")
         key, _, value = item.partition("=")
         if key not in wanted:
-            raise InstanceFormatError(f"unknown argument {key!r}")
+            raise InstanceFormatError(f"unknown argument {_echo(key)}")
         try:
             out[key] = int(value)
         except ValueError:
-            raise InstanceFormatError(f"{key} needs an integer, got {value!r}") from None
+            need = "an integer"
+            if re.fullmatch(r"\s*[+-]?\d+\s*", value):   # over the int-string limit
+                need += f" of at most {sys.get_int_max_str_digits()} digits"
+            raise InstanceFormatError(f"{key} needs {need}, got {_echo(value)}") from None
     for key, required in wanted.items():
         if required and key not in out:
             raise InstanceFormatError(f"missing required argument {key}=<n>")
@@ -119,7 +128,7 @@ def _cmd_intersect(args) -> tuple[dict, list[str]]:
     params = _parse_kv(kv, {"d": True})
     if len(rest) != 1:
         raise InstanceFormatError("expected exactly one product expression")
-    factors = dsl.parse_intersection_expr(rest[0])
+    factors = dsl.parse_intersection_expr(rest[0], params["d"])
     value = triple(BlowupGeometry(params["d"]), *factors)
     return ({"d": params["d"], "expr": rest[0], "value": value},
             [f"{rest[0]} = {value} on Y{params['d']}"])

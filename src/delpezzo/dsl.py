@@ -12,7 +12,7 @@ A rule line follows its template in ``mutations.RULES``: literal words,
 integer slots, word choices such as left|right, and the block <i>..<j>.
 A decomposition literal is `<node, node, ...>` with node syntax
 O(aH+bE), O_E(aH+bE), O(ah+bD), O_D(ah+bD) or CAT(name); class syntax is a
-signed integer combination of the two symbols of one basis, or 0.  Parse
+signed integer combination of H and E or of h and D, or 0.  Parse
 errors report line and column; a header degree other than 4, 5 or 6 is an
 OutOfRangeDegree naming the header line, and an {h, D} literal at a
 degree without registered relations is a NoRelationsForDegree naming its
@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (InstanceFormatError, NoRelationsForDegree, OutOfRangeDegree,
                      ScriptSyntaxError)
-from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, he,
-                           hd, rewrite)
+from .intersection import BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, from_hd, he
 from .mutations import RULES, SLOT, MutationRule, ReplayScript
 from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
                   decomposition_text, standard_opaque)
@@ -54,11 +53,13 @@ def _read_int(digits: str, line: int, col: int) -> int:
                                 f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def parse_class(text: str, line: int = 0, col: int = 0) -> DivisorClass:
-    """Parse '2H-E', '-h', 'D-2h' or '0' into a divisor class."""
+def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[str, int, int]:
+    """Parse '2H-E', '-h', 'D-2h' or '0' into (basis, a, b), the class
+    a*H + b*E or a*h + b*D."""
+    col += len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("0", "-0", "+0"):
-        return he(0, 0)
+        return BASIS_HE, 0, 0
     pos = 0
     coeffs: dict[str, int] = {}
     while pos < len(text):
@@ -71,12 +72,14 @@ def parse_class(text: str, line: int = 0, col: int = 0) -> DivisorClass:
         sym = m.group(3)
         coeffs[sym] = coeffs.get(sym, 0) + sign * mag
         pos = m.end()
-    symbols = set(coeffs)
-    if symbols <= {"H", "E"}:
-        return he(coeffs.get("H", 0), coeffs.get("E", 0))
-    if symbols <= {"h", "D"}:
-        return hd(coeffs.get("h", 0), coeffs.get("D", 0))
+    for basis, (s, t) in ((BASIS_HE, "HE"), (BASIS_hD, "hD")):
+        if set(coeffs) <= {s, t}:
+            return basis, coeffs.get(s, 0), coeffs.get(t, 0)
     raise ScriptSyntaxError(line, col, "a class over one basis, {H,E} or {h,D}")
+
+
+def _read_class(basis: str, a: int, b: int, d: int | None) -> DivisorClass:
+    return he(a, b) if basis == BASIS_HE else from_hd(a, b, d)
 
 
 def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNode:
@@ -88,15 +91,13 @@ def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNod
         if not re.fullmatch(r"[A-Za-z0-9_*']+", body):
             raise ScriptSyntaxError(line, col, "a category name")
         return standard_opaque(body)
-    cls = parse_class(body, line, col + len(head) + 1)
-    if cls.basis_id != BASIS_HE:
-        if d is None:
-            raise ScriptSyntaxError(line, col,
-                                    "an {H,E} class (no degree in scope)")
-        try:
-            cls = rewrite(cls, BASIS_HE, d)
-        except NoRelationsForDegree as exc:
-            raise NoRelationsForDegree(f"line {line}, col {col}: {exc}") from None
+    basis, a, b = parse_class(body, line, col + len(head) + 1)
+    if basis != BASIS_HE and d is None:
+        raise ScriptSyntaxError(line, col, "an {H,E} class (no degree in scope)")
+    try:
+        cls = _read_class(basis, a, b, d)
+    except NoRelationsForDegree as exc:
+        raise NoRelationsForDegree(f"line {line}, col {col}: {exc}") from None
     if head == "O":
         return LineBundle(cls)
     return TwistedStructureSheaf(head[-1], cls)
@@ -392,13 +393,14 @@ def parse_quiver(text: str) -> Quiver:
 
 # -- intersection expressions -------------------------------------------------
 
-def parse_intersection_expr(text: str) -> list[DivisorClass]:
-    """Parse a degree-3 product like '(H-E)^3' or 'H^2*E' into factors.
+def parse_intersection_expr(text: str, d: int) -> list[DivisorClass]:
+    """Parse a degree-3 product like '(H-E)^3' or 'H^2*E' at degree d into factors.
 
     Spaces are ignored; a malformed class or power names its column in
     ``text``, counted from 1, and no line.  Powers are counted, not
-    expanded, so a huge one is refused without building its factors."""
-    terms: list[tuple[DivisorClass, int]] = []
+    expanded, so a huge one is refused without building its factors.  The
+    degree is checked, and {h, D} factors read, after the factor count."""
+    terms: list[tuple[tuple[str, int, int], int]] = []
     pos = 0
     cols = [i + 1 for i, ch in enumerate(text) if ch != " "]
     text = text.replace(" ", "")
@@ -410,14 +412,14 @@ def parse_intersection_expr(text: str) -> list[DivisorClass]:
                 end = text.find(")", pos)
                 if end < 0:
                     raise InstanceFormatError("unbalanced parenthesis")
-                cls = parse_class(text[pos + 1:end], col=pos + 1)
+                term = parse_class(text[pos + 1:end], col=pos + 1)
                 pos = end + 1
             else:
                 m = re.match(r"-?\d*[HEhD]", text[pos:])
                 if m is None:
                     raise InstanceFormatError(
                         f"expected a class factor at {text[pos:]!r}")
-                cls = parse_class(text[pos:pos + m.end()], col=pos)
+                term = parse_class(text[pos:pos + m.end()], col=pos)
                 pos += m.end()
             power = 1
             if pos < len(text) and text[pos] == "^":
@@ -426,7 +428,7 @@ def parse_intersection_expr(text: str) -> list[DivisorClass]:
                     raise InstanceFormatError("expected an integer power after ^")
                 power = _read_int(m.group(1), 0, pos + 1)
                 pos += m.end()
-            terms.append((cls, power))
+            terms.append((term, power))
     except ScriptSyntaxError as exc:
         raise InstanceFormatError(
             f"col {cols[exc.col]}: expected {exc.expected}") from None
@@ -435,4 +437,5 @@ def parse_intersection_expr(text: str) -> list[DivisorClass]:
         got = count if count < 10 ** 300 else "at least 10^300"
         raise InstanceFormatError(
             f"intersection products are trilinear; got {got} factors")
-    return [cls for cls, power in terms for _ in range(power)]
+    BlowupGeometry(d)
+    return [_read_class(*term, d) for term, power in terms for _ in range(power)]

@@ -1,12 +1,13 @@
 """Divisor class arithmetic on the blow-up of a del Pezzo threefold along a
 standard line.
 
-Two integer bases are registered for the rank-2 lattice spanned by divisor
-classes that matter here: {H, E} (pullback of the polarization and the
-exceptional divisor of the line blow-up) and, for degrees 4 and 5, {h, D}
-(pullback of the hyperplane from the projection image and the exceptional
-divisor of the blow-down to it).  The trilinear intersection form is given
-on {H, E}:
+Every divisor class is an integer vector over one basis of the rank-2
+lattice: {H, E}, the pullback of the polarization and the exceptional
+divisor of the line blow-up.  For degrees 4 and 5 the projection from the
+line gives a second coordinate system, {h, D} (pullback of the hyperplane
+from the projection image and the exceptional divisor of the blow-down to
+it); ``from_hd`` reads a class from those coordinates and ``rewrite``
+writes one into them.  The trilinear intersection form on {H, E} is
 
     H^3 = d,  H^2.E = 0,  H.E^2 = -1,  E^3 = 0.
 
@@ -39,89 +40,66 @@ _H_E_IN_hD: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Integer vector over a named basis of the divisor lattice."""
+    """The class a*H + b*E, stored as coords = (a, b)."""
 
-    basis_id: str
     coords: tuple[int, int]
 
-    def __post_init__(self):
-        if self.basis_id not in _BASIS_SYMBOLS:
-            raise UnknownBasis(f"unknown basis {self.basis_id!r}")
-        if len(self.coords) != 2:
-            raise ValueError("coords must have length 2")
-
-    def _check_same_basis(self, other: "DivisorClass") -> None:
-        if self.basis_id != other.basis_id:
-            raise UnknownBasis(
-                f"mixed bases {self.basis_id!r} and {other.basis_id!r}")
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_basis(other)
-        return DivisorClass(self.basis_id,
-                            (self.coords[0] + other.coords[0],
+        return DivisorClass((self.coords[0] + other.coords[0],
                              self.coords[1] + other.coords[1]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_basis(other)
-        return DivisorClass(self.basis_id,
-                            (self.coords[0] - other.coords[0],
+        return DivisorClass((self.coords[0] - other.coords[0],
                              self.coords[1] - other.coords[1]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.basis_id, (-self.coords[0], -self.coords[1]))
+        return DivisorClass((-self.coords[0], -self.coords[1]))
 
     def __mul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(self.basis_id, (self.coords[0] * n, self.coords[1] * n))
+        return DivisorClass((self.coords[0] * n, self.coords[1] * n))
 
     __rmul__ = __mul__
 
 
 def he(a: int, b: int) -> DivisorClass:
     """Class a*H + b*E."""
-    return DivisorClass(BASIS_HE, (a, b))
-
-
-def hd(a: int, b: int) -> DivisorClass:
-    """Class a*h + b*D."""
-    return DivisorClass(BASIS_hD, (a, b))
+    return DivisorClass((a, b))
 
 
 H = he(1, 0)
 E = he(0, 1)
 
 
-def rewrite(cls: DivisorClass, target_basis: str, d: int) -> DivisorClass:
-    """Rewrite a class into the other registered basis.
-
-    The maps are unimodular, so rewrite followed by the inverse rewrite is
-    the identity on integer vectors.
-    """
-    if target_basis not in _BASIS_SYMBOLS:
-        raise UnknownBasis(f"unknown basis {target_basis!r}")
-    if cls.basis_id == target_basis:
-        return cls
+def _relations(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
     if d not in _H_E_IN_hD:
         raise NoRelationsForDegree(
             f"no {BASIS_hD} relations registered for degree {d}")
-    (h0, h1), (e0, e1) = _H_E_IN_hD[d]
-    if target_basis == BASIS_hD:
-        a, b = cls.coords
-        return DivisorClass(BASIS_hD, (a * h0 + b * e0, a * h1 + b * e1))
-    # invert the 2x2 integer matrix; the registered relations are unimodular
-    det = h0 * e1 - h1 * e0
-    if abs(det) != 1:
-        raise AssertionError("registered relations must be unimodular")
-    u, v = cls.coords
-    a = (u * e1 - v * e0) * det
-    b = (v * h0 - u * h1) * det
-    return DivisorClass(BASIS_HE, (a, b))
+    return _H_E_IN_hD[d]
 
 
-def class_text(cls: DivisorClass) -> str:
-    """Canonical text like '2H-E', 'D-2h', '-h' or '0' (positive terms first)."""
-    sym = _BASIS_SYMBOLS[cls.basis_id]
+def rewrite(cls: DivisorClass, d: int) -> tuple[int, int]:
+    """{h, D} coordinates (u, v) of a class: cls = u*h + v*D."""
+    (h0, h1), (e0, e1) = _relations(d)
+    a, b = cls.coords
+    return a * h0 + b * e0, a * h1 + b * e1
+
+
+def from_hd(u: int, v: int, d: int) -> DivisorClass:
+    """The class u*h + v*D.  The registered relations are unimodular, so
+    this inverts ``rewrite`` on integer vectors."""
+    (h0, h1), (e0, e1) = _relations(d)
+    det = h0 * e1 - h1 * e0   # +-1, its own inverse
+    return he((u * e1 - v * e0) * det, (v * h0 - u * h1) * det)
+
+
+def class_text(cls: DivisorClass, basis: str = BASIS_HE, d: int | None = None) -> str:
+    """Canonical text like '2H-E', 'D-2h', '-h' or '0' (positive terms
+    first), in {H, E} or, at degree d, in {h, D}."""
+    if basis not in _BASIS_SYMBOLS:
+        raise UnknownBasis(f"unknown basis {basis!r}")
+    coords = cls.coords if basis == BASIS_HE else rewrite(cls, d)
     terms = []
-    for s, c in sorted(zip(sym, cls.coords), key=lambda t: (t[1] < 0,)):
+    for s, c in sorted(zip(_BASIS_SYMBOLS[basis], coords), key=lambda t: (t[1] < 0,)):
         if c == 0:
             continue
         mag = "" if abs(c) == 1 else str(abs(c))
@@ -149,20 +127,17 @@ class BlowupGeometry:
         if name == "E":
             return E
         if name == "h":
-            return rewrite(hd(1, 0), BASIS_HE, self.d)
+            return from_hd(1, 0, self.d)
         if name == "D":
-            return rewrite(hd(0, 1), BASIS_HE, self.d)
+            return from_hd(0, 1, self.d)
         raise UnknownBasis(f"unknown divisor name {name!r}")
-
-    def to_he(self, cls: DivisorClass) -> DivisorClass:
-        return rewrite(cls, BASIS_HE, self.d)
 
 
 def triple(geom: BlowupGeometry, a: DivisorClass, b: DivisorClass,
            c: DivisorClass) -> int:
     """Trilinear intersection number, symmetric and Z-linear in each slot:
     H^3 = d, H.E^2 = -1 and H^2.E = E^3 = 0 written out on {H, E}."""
-    (a0, a1), (b0, b1), (c0, c1) = (geom.to_he(x).coords for x in (a, b, c))
+    (a0, a1), (b0, b1), (c0, c1) = (x.coords for x in (a, b, c))
     return geom.d * a0 * b0 * c0 - (a0 * b1 * c1 + a1 * b0 * c1 + a1 * b1 * c0)
 
 
@@ -179,8 +154,7 @@ def iskovskikh_degree(d: int) -> int:
     return value
 
 
-def canonical_class(d: int, basis: str = BASIS_HE) -> DivisorClass:
-    """Canonical class of the line blow-up: -2H + E, rewritten on request."""
+def canonical_class(d: int) -> DivisorClass:
+    """Canonical class of the line blow-up: -2H + E."""
     BlowupGeometry(d)   # raises OutOfRangeDegree outside 4..6
-    k = he(-2, 1)
-    return rewrite(k, basis, d) if basis != BASIS_HE else k
+    return he(-2, 1)

@@ -30,8 +30,8 @@ it, so rendering and parsing agree by construction.
 
 Every application either fails with a named side-condition error or yields
 a new decomposition whose backwards Hom-vanishing facts are recorded into
-the store.  Node classes are in the {H, E} basis by construction, so final
-states compare by value.
+the store.  Node classes are {H, E} vectors, so final states compare by
+value.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import (FinalMismatch, NoRelationsForDegree, PerfectnessUnknown,
                      PositionOutOfRange, SideConditionFailed, TailMismatch)
-from .intersection import (BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass,
+from .intersection import (BASIS_HE, BlowupGeometry, DivisorClass,
                            canonical_class, class_text, he, rewrite)
 from .sod import (AXIOM, Decomposition, DISPLAY_NAMES, FactStore, LineBundle,
                   Opaque, PUSHFORWARD, RECORDED, SodNode, TwistedStructureSheaf,
@@ -146,12 +146,12 @@ def ruling_fiber_degree(geom: BlowupGeometry, support: str,
 
     On either exceptional divisor the pullback polarization is trivial on
     fibers and the divisor itself restricts with fiber degree -1; classes
-    on the D side need the registered basis relations.
+    on the D side need the {h, D} coordinates of the degree.
     """
     if support == "E":
-        return -geom.to_he(cls).coords[1]
+        return -cls.coords[1]
     try:
-        return -rewrite(geom.to_he(cls), BASIS_hD, geom.d).coords[1]
+        return -rewrite(cls, geom.d)[1]
     except NoRelationsForDegree:
         return None
 

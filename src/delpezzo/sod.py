@@ -10,20 +10,19 @@ engine, and twist closure (Vanish(x, y) implies Vanish(x(t), y(t)) for a
 common line-bundle twist t).  No Ext group is ever computed from sheaf data.
 
 A node's value is its identity.  Line bundles and twisted structure
-sheaves carry {H, E} classes by construction, and an opaque node is known
-by its name alone (mutating it keeps the name).  Twist closure is built
-into the fact keys: a pair of twistable nodes is stored by the difference
-of their classes, which is exactly the invariant of a common twist.  Facts
-with an opaque member only match on the nose.  The store keeps each fact's
-nodes and renders text only when asked.
+sheaves carry {H, E} classes (``node_text`` can write them in {h, D}), and
+an opaque node is known by its name alone (mutating it keeps the name).
+Twist closure is built into the fact keys: a pair of twistable nodes is
+stored by the difference of their classes, which is exactly the invariant
+of a common twist.  Facts with an opaque member only match on the nose.
+The store keeps each fact's nodes and renders text only when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnknownBasis
-from .intersection import BASIS_HE, DivisorClass, class_text, rewrite
+from .intersection import BASIS_HE, DivisorClass, class_text
 
 # provenance tags for fact-store entries
 AXIOM = "axiom"
@@ -32,18 +31,9 @@ PUSHFORWARD = "pushforward-oracle"
 TWIST_CLOSURE = "twist-closure"
 
 
-def _require_he(cls: DivisorClass) -> None:
-    if cls.basis_id != BASIS_HE:
-        raise UnknownBasis(f"a node class must be in the {{H, E}} basis, "
-                           f"got {class_text(cls)}")
-
-
 @dataclass(frozen=True)
 class LineBundle:
     divisor: DivisorClass
-
-    def __post_init__(self):
-        _require_he(self.divisor)
 
 
 @dataclass(frozen=True)
@@ -57,7 +47,6 @@ class TwistedStructureSheaf:
     def __post_init__(self):
         if self.support not in ("E", "D"):
             raise ValueError(f"support must be 'E' or 'D', got {self.support!r}")
-        _require_he(self.twist)
 
 
 @dataclass(frozen=True)
@@ -122,19 +111,11 @@ class Decomposition:
 
 
 def node_text(node: SodNode, basis: str = BASIS_HE, d: int | None = None) -> str:
-    """Parseable literal for a node, optionally rendered in the {h, D} basis."""
-
-    def cls_text(c: DivisorClass) -> str:
-        if basis != BASIS_HE:
-            if d is None:
-                raise UnknownBasis("rendering in another basis needs the degree")
-            c = rewrite(c, basis, d)
-        return class_text(c)
-
+    """Parseable literal for a node, optionally written in {h, D} at degree d."""
     if isinstance(node, LineBundle):
-        return f"O({cls_text(node.divisor)})"
+        return f"O({class_text(node.divisor, basis, d)})"
     if isinstance(node, TwistedStructureSheaf):
-        return f"O_{node.support}({cls_text(node.twist)})"
+        return f"O_{node.support}({class_text(node.twist, basis, d)})"
     return f"CAT({node.name})"
 
 
@@ -158,8 +139,7 @@ def vanish_key(x: SodNode, y: SodNode):
     For a pair of twistable nodes the key depends only on the class
     difference, which makes twist closure automatic, involutive and
     additive under composed twists.  Pairs involving an opaque node match
-    exactly, by value.  Node classes share the {H, E} basis, so the
-    difference is taken on raw coordinates.
+    exactly, by value.  The difference is taken on the {H, E} coordinates.
     """
     tx, ty = _twist(x), _twist(y)
     if tx is None or ty is None:

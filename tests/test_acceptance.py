@@ -11,9 +11,8 @@ import pytest
 from delpezzo.catalog import enumerate_degenerations, singularity_budget
 from delpezzo.dsl import builtin_script_names, load_builtin_script
 from delpezzo.errors import FinalMismatch, SideConditionFailed
-from delpezzo.intersection import (BASIS_hD, BlowupGeometry, E, H,
-                                   canonical_class, hd, iskovskikh_degree,
-                                   rewrite, triple)
+from delpezzo.intersection import (BlowupGeometry, E, H, canonical_class,
+                                   from_hd, iskovskikh_degree, rewrite, triple)
 from delpezzo.ktheory import k_minus1_total, kawamata_gate, standard_models
 from delpezzo.mutations import compare_and_solve, replay
 from delpezzo.quivers import (cartan_matrix, double_burban, path_basis,
@@ -70,11 +69,10 @@ def test_criterion_3_intersection_suite():
     for d in (4, 5, 6):
         assert triple(BlowupGeometry(d), hme, hme, hme) == d - 3
         assert iskovskikh_degree(d) == d - 3
-    assert canonical_class(4, BASIS_hD) == hd(-4, 1)
-    assert canonical_class(5, BASIS_hD) == hd(-3, 1)
+    assert rewrite(canonical_class(4), 4) == (-4, 1)
+    assert rewrite(canonical_class(5), 5) == (-3, 1)
     for d in (4, 5):
-        assert rewrite(canonical_class(d, BASIS_hD), "HE", d) == \
-            canonical_class(d)
+        assert from_hd(*rewrite(canonical_class(d), d), d) == canonical_class(d)
     _report(3, "(H-E)^3 = d-3 for d in {4,5,6}; canonical class rewrites "
             "to -4h+D and -3h+D")
 

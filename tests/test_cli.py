@@ -489,3 +489,18 @@ def test_a_long_integer_in_a_script_is_a_syntax_error(tmp_path, capsys, body, wh
 def test_a_long_integer_in_an_intersection_names_its_column(capsys, expr, col):
     assert run(capsys, "intersect", "d=5", expr) == (
         2, "", f"error [InstanceFormatError/71]: col {col}: {_TOO_LONG}\n")
+
+
+@pytest.mark.parametrize("arg, message", [
+    ("d=" + "9" * 5000, f"d needs an integer of at most {sys.get_int_max_str_digits()} "
+                        "digits, got '{}'...".format("9" * 32)),
+    ("d=" + "x" * 5000, "d needs an integer, got '{}'...".format("x" * 32)),
+    ("d=x", "d needs an integer, got 'x'"),
+    ("k" * 5000 + "=1", "unknown argument '{}'...".format("k" * 32)),
+    ("q" * 5000, "expected key=value, got '{}'...".format("q" * 32)),
+], ids=["long-integer", "long-word", "word", "long-key", "long-pair"])
+def test_a_key_value_error_echoes_a_bounded_argument(capsys, arg, message):
+    code, out, err = run(capsys, "gate", arg, "nodes=1")
+    assert (code, out) == (2, "")
+    assert err == f"error [InstanceFormatError/71]: {message}\n"
+    assert len(err.encode()) < 200

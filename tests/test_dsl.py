@@ -10,7 +10,7 @@ from delpezzo.dsl import (_parse_fraction, builtin_script_names, load_builtin_sc
                           render_instance, render_script)
 from delpezzo.errors import (InstanceFormatError, OutOfRangeDegree,
                              ScriptSyntaxError)
-from delpezzo.intersection import BASIS_hD, he, hd
+from delpezzo.intersection import BASIS_hD, DivisorClass, class_text, from_hd, he
 from delpezzo.mutations import RULES, SLOT, MutationRule
 from delpezzo.quivers import Quiver, path_basis
 from delpezzo.sod import LineBundle, Opaque, TwistedStructureSheaf
@@ -30,11 +30,11 @@ def test_line_side_script_has_nine_rules():
 
 
 def test_parse_class_forms():
-    assert parse_class("2H-E") == he(2, -1)
-    assert parse_class("-h") == hd(-1, 0)
-    assert parse_class("D-2h") == hd(-2, 1)
-    assert parse_class("0") == he(0, 0)
-    assert parse_class("H+E") == he(1, 1)
+    assert parse_class("2H-E") == ("HE", 2, -1)
+    assert parse_class("-h") == ("hD", -1, 0)
+    assert parse_class("D-2h") == ("hD", -2, 1)
+    assert parse_class("0") == ("HE", 0, 0)
+    assert parse_class("H+E") == ("HE", 1, 1)
     with pytest.raises(ScriptSyntaxError):
         parse_class("H+q")
     with pytest.raises(ScriptSyntaxError):
@@ -52,6 +52,12 @@ def test_parse_node_forms():
         parse_node("Q(H)", 5)
 
 
+@given(st.sampled_from([4, 5]), st.integers(-9, 9), st.integers(-9, 9))
+def test_hd_literal_reads_back_the_written_class(d, a, b):
+    c = DivisorClass((a, b))
+    assert parse_node(f"O({class_text(c, BASIS_hD, d)})", d) == LineBundle(c)
+
+
 def test_misspelled_keyword_reports_position():
     text = "ambient Y d=5\naxiom <CAT(DbY)>\nswap att 3\nexpect <CAT(DbY)>\n"
     with pytest.raises(ScriptSyntaxError) as err:
@@ -62,7 +68,7 @@ def test_misspelled_keyword_reports_position():
 
 @pytest.mark.parametrize("literal, col", [
     ("<O(0), O(0), Q(H)>", 20), ("<Q(H), O(0)>", 8), ("<O(0),   Q(H)>", 16),
-    ("<O(0),, O(H)>", 13), ("<O(0), O(2q)>", 16)])
+    ("<O(0),, O(H)>", 13), ("<O(0), O(2q)>", 16), ("<O(  2X)>", 12)])
 def test_node_error_names_the_node_column(literal, col):
     text = f"ambient Y d=5\naxiom {literal}\nexpect <CAT(DbY)>\n"
     with pytest.raises(ScriptSyntaxError) as err:
@@ -188,15 +194,16 @@ def test_parse_quiver_rejects_what_quiver_rejects(text, arrows):
 
 
 def test_parse_intersection_expr():
-    cube = parse_intersection_expr("(H-E)^3")
+    cube = parse_intersection_expr("(H-E)^3", 5)
     assert cube == [he(1, -1)] * 3
-    mixed = parse_intersection_expr("H^2*E")
+    mixed = parse_intersection_expr("H^2*E", 5)
     assert mixed == [he(1, 0), he(1, 0), he(0, 1)]
-    assert parse_intersection_expr("(h)^2*(D)") == [hd(1, 0), hd(1, 0), hd(0, 1)]
+    h, D = from_hd(1, 0, 5), from_hd(0, 1, 5)
+    assert parse_intersection_expr("(h)^2*(D)", 5) == [h, h, D]
     with pytest.raises(InstanceFormatError):
-        parse_intersection_expr("(H-E)^2")
+        parse_intersection_expr("(H-E)^2", 5)
     with pytest.raises(InstanceFormatError):
-        parse_intersection_expr("(H-E")
+        parse_intersection_expr("(H-E", 5)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -206,7 +213,7 @@ def test_parse_intersection_expr():
 ])
 def test_intersection_expr_errors_name_the_column_in_the_expression(text, message):
     with pytest.raises(InstanceFormatError) as info:
-        parse_intersection_expr(text)
+        parse_intersection_expr(text, 5)
     assert str(info.value) == message
 
 

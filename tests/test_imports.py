@@ -16,13 +16,12 @@ import delpezzo
 
 SRC = Path(delpezzo.__file__).parent.parent
 
-# The names `delpezzo/__init__.py` imported eagerly before its exports
-# became lazy, by defining module.
+# The package's public names, by defining module.
 EXPORTS = {
     "catalog": ["DegenerationCase", "DelPezzoEntry", "enumerate_degenerations",
                 "lookup", "singularity_budget"],
     "intersection": ["BASIS_HE", "BASIS_hD", "BlowupGeometry", "DivisorClass",
-                     "canonical_class", "hd", "he", "iskovskikh_degree",
+                     "canonical_class", "from_hd", "he", "iskovskikh_degree",
                      "rewrite", "triple"],
     "ktheory": ["ComponentModel", "GateVerdict", "KProfile", "consistency_check",
                 "k0_total", "k_minus1_total", "kawamata_gate", "standard_models"],

@@ -8,7 +8,7 @@ from delpezzo.errors import (NoRelationsForDegree, OutOfRangeDegree,
                              UnknownBasis)
 from delpezzo.intersection import (BASIS_HE, BASIS_hD, BlowupGeometry,
                                    DivisorClass, E, H, canonical_class,
-                                   class_text, he, hd, iskovskikh_degree,
+                                   class_text, from_hd, he, iskovskikh_degree,
                                    rewrite, triple)
 
 coords = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
@@ -48,8 +48,7 @@ def test_iskovskikh_degree(d, expected):
 @given(degrees, coords, coords, coords)
 def test_triple_symmetric(d, a, b, c):
     geom = BlowupGeometry(d)
-    classes = [DivisorClass(BASIS_HE, a), DivisorClass(BASIS_HE, b),
-               DivisorClass(BASIS_HE, c)]
+    classes = [DivisorClass(a), DivisorClass(b), DivisorClass(c)]
     values = {triple(geom, *perm) for perm in itertools.permutations(classes)}
     assert len(values) == 1
 
@@ -57,56 +56,54 @@ def test_triple_symmetric(d, a, b, c):
 @given(degrees, coords, coords, coords, st.integers(-5, 5), st.integers(-5, 5))
 def test_triple_multilinear(d, a, b, c, m, n):
     geom = BlowupGeometry(d)
-    ca, cb, cc = (DivisorClass(BASIS_HE, v) for v in (a, b, c))
+    ca, cb, cc = (DivisorClass(v) for v in (a, b, c))
     assert triple(geom, m * ca + n * cb, cb, cc) == \
         m * triple(geom, ca, cb, cc) + n * triple(geom, cb, cb, cc)
 
 
 def test_rewrite_examples():
-    assert rewrite(H - E, BASIS_hD, 5) == hd(1, 0)
-    assert rewrite(he(-2, 1), BASIS_hD, 4) == hd(-4, 1)
-    assert rewrite(he(-2, 1), BASIS_hD, 5) == hd(-3, 1)
+    assert rewrite(H - E, 5) == (1, 0)
+    assert rewrite(he(-2, 1), 4) == (-4, 1)
+    assert rewrite(he(-2, 1), 5) == (-3, 1)
     # generators themselves
-    assert rewrite(E, BASIS_hD, 4) == hd(2, -1)
-    assert rewrite(E, BASIS_hD, 5) == hd(1, -1)
+    assert rewrite(E, 4) == (2, -1)
+    assert rewrite(E, 5) == (1, -1)
 
 
 def test_canonical_class():
     for d in (4, 5, 6):
         assert canonical_class(d) == he(-2, 1)
-    assert canonical_class(4, BASIS_hD) == hd(-4, 1)
-    assert canonical_class(5, BASIS_hD) == hd(-3, 1)
+    assert rewrite(canonical_class(4), 4) == (-4, 1)
+    assert rewrite(canonical_class(5), 5) == (-3, 1)
     with pytest.raises(NoRelationsForDegree):
-        canonical_class(6, BASIS_hD)
+        rewrite(canonical_class(6), 6)
 
 
 @given(degrees, coords)
 def test_rewrite_round_trip(d, v):
-    cls = DivisorClass(BASIS_HE, v)
-    assert rewrite(rewrite(cls, BASIS_hD, d), BASIS_HE, d) == cls
-    other = DivisorClass(BASIS_hD, v)
-    assert rewrite(rewrite(other, BASIS_HE, d), BASIS_hD, d) == other
+    cls = DivisorClass(v)
+    assert from_hd(*rewrite(cls, d), d) == cls
+    assert rewrite(from_hd(*v, d), d) == v
 
 
-def test_no_relations_for_degree_six():
+@given(coords)
+def test_no_relations_for_degree_six(v):
     with pytest.raises(NoRelationsForDegree):
-        rewrite(H, BASIS_hD, 6)
-    # the identity rewrite never needs relations
-    assert rewrite(H, BASIS_HE, 6) == H
+        rewrite(DivisorClass(v), 6)
+    with pytest.raises(NoRelationsForDegree):
+        from_hd(*v, 6)
+    # writing a class in {H, E} never needs relations
+    assert class_text(H, BASIS_HE, 6) == "H"
 
 
 def test_unknown_basis():
     with pytest.raises(UnknownBasis):
-        DivisorClass("XY", (1, 0))
-    with pytest.raises(UnknownBasis):
-        rewrite(H, "XY", 4)
-    with pytest.raises(UnknownBasis):
-        H + hd(1, 0)
+        class_text(H, "XY", 4)
 
 
 def test_class_text():
     assert class_text(he(2, -1)) == "2H-E"
-    assert class_text(hd(-2, 1)) == "D-2h"
+    assert class_text(from_hd(-2, 1, 4), BASIS_hD, 4) == "D-2h"
     assert class_text(he(0, 0)) == "0"
-    assert class_text(hd(-1, 0)) == "-h"
+    assert class_text(from_hd(-1, 0, 5), BASIS_hD, 5) == "-h"
     assert class_text(he(1, 1)) == "H+E"

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo.errors import UnknownBasis
-from delpezzo.intersection import he, hd
+from delpezzo.intersection import he
 from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle, Opaque,
                           RECORDED, TwistedStructureSheaf, is_perfect,
                           missing_pairs, node_text, query_complete_orthogonality,
@@ -162,9 +161,3 @@ def test_describe_and_dump_texts():
         "vanish CAT(A_C) -> O(0)  [recorded-from-decomposition]",
         "vanish O(-E) -> O(E-H)  [axiom]"]
 
-
-def test_node_classes_are_he_by_construction():
-    with pytest.raises(UnknownBasis):
-        LineBundle(hd(1, 0))
-    with pytest.raises(UnknownBasis):
-        TwistedStructureSheaf("D", hd(0, 1))
