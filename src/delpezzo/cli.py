@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import InstanceFormatError, ToolError, UndecodableInput
+from .errors import NAME_ECHO, InstanceFormatError, ToolError, UndecodableInput, echo
 from .intersection import BlowupGeometry, triple
 # `mutations`, kept for `cli.replay`, loads `sod` and `intersection` anyway
 from .mutations import replay
@@ -37,27 +37,22 @@ def _pretty_node(node, basis, d) -> str:
     return "O" if text == "O(0)" else text
 
 
-def _echo(text: str, limit: int = 32) -> str:
-    """repr of a rejected argument, cut after its first `limit` characters."""
-    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."
-
-
 def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
     """Parse 'key=value' arguments; wanted maps key -> required."""
     out: dict[str, int] = {}
     for item in pairs:
         if "=" not in item:
-            raise InstanceFormatError(f"expected key=value, got {_echo(item)}")
+            raise InstanceFormatError(f"expected key=value, got {echo(item)}")
         key, _, value = item.partition("=")
         if key not in wanted:
-            raise InstanceFormatError(f"unknown argument {_echo(key)}")
+            raise InstanceFormatError(f"unknown argument {echo(key)}")
         try:
             out[key] = int(value)
         except ValueError:
             need = "an integer"
             if re.fullmatch(r"\s*[+-]?\d+\s*", value):   # over the int-string limit
                 need += f" of at most {sys.get_int_max_str_digits()} digits"
-            raise InstanceFormatError(f"{key} needs {need}, got {_echo(value)}") from None
+            raise InstanceFormatError(f"{key} needs {need}, got {echo(value)}") from None
     for key, required in wanted.items():
         if required and key not in out:
             raise InstanceFormatError(f"missing required argument {key}=<n>")
@@ -65,15 +60,18 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
 
 
 def _read_input(path: Path) -> str:
-    """Text of an input file.  Bytes that are not UTF-8, a missing path, a
-    directory and an unreadable file are input faults naming the path."""
+    """Text of an input file.  Bytes that are not UTF-8 and a path the
+    system cannot read (missing, a directory, unreadable, too long) are
+    input faults naming the path, cut after NAME_ECHO characters."""
+    where = str(path)
+    where = where if len(where) <= NAME_ECHO else where[:NAME_ECHO] + "..."
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableInput(
-            f"{path}: byte {exc.start} is not UTF-8 text") from None
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        raise InstanceFormatError(f"{path}: {exc.strerror}") from None
+            f"{where}: byte {exc.start} is not UTF-8 text") from None
+    except OSError as exc:
+        raise InstanceFormatError(f"{where}: {exc.strerror}") from None
 
 
 def _cmd_defect(args) -> tuple[dict, list[str]]:
@@ -98,7 +96,7 @@ def _cmd_defect(args) -> tuple[dict, list[str]]:
 def _resolve_script(name: str):
     from . import dsl
     path = Path(name)
-    if path.is_file():
+    if os.path.isfile(path):   # False, not an error, for a name too long
         return dsl.parse_script(_read_input(path), name=path.stem)
     return dsl.load_builtin_script(name)
 
@@ -141,11 +139,11 @@ def _cmd_quiver(args) -> tuple[dict, list[str]]:
     from . import dsl, quivers
     if args.quiver in _BUILTIN_QUIVERS:
         q = getattr(quivers, args.quiver.replace("-", "_"))()
-    elif Path(args.quiver).is_file():
+    elif os.path.isfile(args.quiver):
         q = dsl.parse_quiver(_read_input(Path(args.quiver)))
     else:
         raise InstanceFormatError(
-            f"{args.quiver!r} is neither a file nor one of: "
+            f"{echo(args.quiver, NAME_ECHO)} is neither a file nor one of: "
             + ", ".join(_BUILTIN_QUIVERS))
     report = quivers.path_basis(q)
     payload = {

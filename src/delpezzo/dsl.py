@@ -27,12 +27,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .errors import (InstanceFormatError, NoRelationsForDegree, OutOfRangeDegree,
-                     ScriptSyntaxError)
+from .errors import (NAME_ECHO, InstanceFormatError, NoRelationsForDegree,
+                     OutOfRangeDegree, ScriptSyntaxError, echo)
 from .intersection import BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, from_hd, he
 from .mutations import RULES, SLOT, MutationRule, ReplayScript
-from .sod import (Decomposition, LineBundle, SodNode, TwistedStructureSheaf,
-                  decomposition_text, standard_opaque)
+from .sod import (Decomposition, Opaque, SodNode, TwistedStructureSheaf,
+                  decomposition_text)
 
 if TYPE_CHECKING:
     from .quivers import Quiver
@@ -90,7 +90,7 @@ def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNod
     if head == "CAT":
         if not re.fullmatch(r"[A-Za-z0-9_*']+", body):
             raise ScriptSyntaxError(line, col, "a category name")
-        return standard_opaque(body)
+        return Opaque(body)
     basis, a, b = parse_class(body, line, col + len(head) + 1)
     if basis != BASIS_HE and d is None:
         raise ScriptSyntaxError(line, col, "an {H,E} class (no degree in scope)")
@@ -98,9 +98,7 @@ def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNod
         cls = _read_class(basis, a, b, d)
     except NoRelationsForDegree as exc:
         raise NoRelationsForDegree(f"line {line}, col {col}: {exc}") from None
-    if head == "O":
-        return LineBundle(cls)
-    return TwistedStructureSheaf(head[-1], cls)
+    return TwistedStructureSheaf(head[2:], cls)
 
 
 class _Line:
@@ -268,29 +266,36 @@ def builtin_script_names() -> list[str]:
 
 def load_builtin_script(name: str) -> ReplayScript:
     base = name[:-4] if name.endswith(".sod") else name
-    path = resources.files("delpezzo") / "data" / f"{base}.sod"
-    if not path.is_file():
+    try:   # a name the system refuses, such as one too long, is not found either
+        text = (resources.files("delpezzo") / "data" / f"{base}.sod").read_text()
+    except OSError:
         raise InstanceFormatError(
-            f"no builtin script {name!r}; available: "
-            + ", ".join(builtin_script_names()))
-    return parse_script(path.read_text(), name=base)
+            f"no builtin script {echo(name, NAME_ECHO)}; available: "
+            + ", ".join(builtin_script_names())) from None
+    return parse_script(text, name=base)
 
 
 # -- hypersurface instances (.hyp) ------------------------------------------
+
+def _number_error(kind: str, tok: str, line: int) -> InstanceFormatError:
+    if _INTEGER_RE.fullmatch(tok):   # int() refuses a decimal integer only for its length
+        kind = f"integer, over {sys.get_int_max_str_digits()} digits:"
+    return InstanceFormatError(f"line {line}: bad {kind} {echo(tok)}")
+
 
 def _parse_fraction(tok: str, line: int) -> Fraction:
     """A rational token; plain decimal integers skip Fraction's string parser."""
     try:
         return Fraction(int(tok)) if _INTEGER_RE.fullmatch(tok) else Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise InstanceFormatError(f"line {line}: bad rational {tok!r}") from None
+        raise _number_error("rational", tok, line) from None
 
 
 def _parse_int(tok: str, line: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise InstanceFormatError(f"line {line}: bad integer {tok!r}") from None
+        raise _number_error("integer", tok, line) from None
 
 
 def parse_instance(text: str):
@@ -362,7 +367,7 @@ def parse_quiver(text: str) -> Quiver:
             for v in rest:
                 if v in vertices:
                     raise InstanceFormatError(
-                        f"line {lineno}: duplicate vertex {v!r}")
+                        f"line {lineno}: duplicate vertex {echo(v)}")
                 vertices.append(v)
         elif key == "arrow":
             if len(rest) != 3:
@@ -370,7 +375,7 @@ def parse_quiver(text: str) -> Quiver:
                     f"line {lineno}: arrow takes name, source, target")
             if rest[0] in arrow_lines:
                 raise InstanceFormatError(
-                    f"line {lineno}: duplicate arrow name {rest[0]!r}")
+                    f"line {lineno}: duplicate arrow name {echo(rest[0])}")
             arrow_lines[rest[0]] = lineno
             arrows.append((rest[1], rest[2], rest[0]))
         elif key == "relation":
@@ -386,8 +391,8 @@ def parse_quiver(text: str) -> Quiver:
         for end in (s, t):
             if end not in vertices:
                 raise InstanceFormatError(
-                    f"line {arrow_lines[name]}: arrow {name!r} ends at "
-                    f"{end!r}, which is not a declared vertex")
+                    f"line {arrow_lines[name]}: arrow {echo(name)} ends at "
+                    f"{echo(end)}, which is not a declared vertex")
     return Quiver.build(vertices, arrows, relations)
 
 
@@ -418,7 +423,7 @@ def parse_intersection_expr(text: str, d: int) -> list[DivisorClass]:
                 m = re.match(r"-?\d*[HEhD]", text[pos:])
                 if m is None:
                     raise InstanceFormatError(
-                        f"expected a class factor at {text[pos:]!r}")
+                        f"expected a class factor at {echo(text[pos:])}")
                 term = parse_class(text[pos:pos + m.end()], col=pos)
                 pos += m.end()
             power = 1

@@ -189,3 +189,12 @@ class InstanceFormatError(InputFault):
 class UndecodableInput(InputFault):
     """An input file whose bytes are not UTF-8 text."""
     code = 72
+
+
+# how many characters of a rejected token, and of a path or name, a message repeats
+TOKEN_ECHO, NAME_ECHO = 32, 128
+
+
+def echo(text: str, limit: int = TOKEN_ECHO) -> str:
+    """repr of rejected input, cut after its first `limit` characters."""
+    return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."

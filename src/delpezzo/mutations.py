@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .errors import (FinalMismatch, NoRelationsForDegree, PerfectnessUnknown,
                      PositionOutOfRange, SideConditionFailed, TailMismatch)
@@ -45,9 +46,9 @@ from .intersection import (BASIS_HE, BlowupGeometry, DivisorClass,
                            canonical_class, class_text, he, rewrite)
 from .sod import (AXIOM, Decomposition, DISPLAY_NAMES, FactStore, LineBundle,
                   Opaque, PUSHFORWARD, RECORDED, SodNode, TwistedStructureSheaf,
-                  _twist, decomposition_text, is_perfect, node_text,
-                  query_complete_orthogonality, record_decomposition,
-                  standard_opaque, tensor, vanish_text)
+                  decomposition_text, is_perfect, node_text,
+                  query_complete_orthogonality, record_decomposition, tensor,
+                  vanish_text)
 
 # A template slot: {field} is an integer, {field:a|b} one of the listed
 # words, {field:*} any word.
@@ -112,7 +113,7 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
         return (
             TwistedStructureSheaf("E", he(-1, 1)),   # O_E(E-H)
             TwistedStructureSheaf("E", he(0, 1)),    # O_E(E)
-            standard_opaque(f"A_V{d}"),
+            Opaque(f"A_V{d}"),
             LineBundle(he(0, 0)),
             LineBundle(he(1, 0)),
         )
@@ -122,16 +123,16 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
     h = geom.divisor_generator("h")
     if d == 4:
         return (
-            standard_opaque("DbC"),
+            Opaque("DbC"),
             LineBundle(-1 * h),
             LineBundle(he(0, 0)),
             LineBundle(h),
             LineBundle(2 * h),
         )
     return (
-        standard_opaque("A_C"),
+        Opaque("A_C"),
         TwistedStructureSheaf("D", geom.divisor_generator("D") - h),  # O_D(D-h)
-        standard_opaque("A_Q"),
+        Opaque("A_Q"),
         LineBundle(-1 * h),
         LineBundle(he(0, 0)),
         LineBundle(h),
@@ -146,10 +147,13 @@ def ruling_fiber_degree(geom: BlowupGeometry, support: str,
 
     On either exceptional divisor the pullback polarization is trivial on
     fibers and the divisor itself restricts with fiber degree -1; classes
-    on the D side need the {h, D} coordinates of the degree.
+    on the D side need the {h, D} coordinates of the degree.  The whole
+    space has no ruling (None).
     """
     if support == "E":
         return -cls.coords[1]
+    if support != "D":
+        return None
     try:
         return -rewrite(cls, geom.d)[1]
     except NoRelationsForDegree:
@@ -161,16 +165,13 @@ def pushforward_vanishing(geom: BlowupGeometry, source: DivisorClass,
     """All graded Horns from O(source) to O_S(twist) vanish when the
     difference restricts to the ruling fibers with degree -1: the extension
     groups compute the cohomology of that restriction, and the pushforward
-    along the ruling of a fiber-degree -1 twist vanishes in all degrees."""
+    along the ruling of a fiber-degree -1 twist vanishes in all degrees;
+    never for a target on the whole space, which has no ruling."""
     fd = ruling_fiber_degree(geom, target.support, target.twist - source)
     return fd == -1
 
 
 # -- rule application -------------------------------------------------------
-
-def _all_perfect(nodes) -> bool:
-    return all(is_perfect(n) is True for n in nodes)
-
 
 def _apply_expand(nodes, rule, geom, store):
     i = rule.position
@@ -214,10 +215,10 @@ def _apply_serre(nodes, rule, geom, store):
     else:
         raise SideConditionFailed("serre_rotate",
                                   f"direction must be left or right, got {rule.direction!r}")
-    if _all_perfect(block):
+    if all(map(is_perfect, block)):
         ev = ["rotated block is perfect: "
               + ", ".join(node_text(n) for n in block)]
-    elif _all_perfect(rest):
+    elif all(map(is_perfect, rest)):
         ev = ["complementary block is perfect: "
               + ", ".join(node_text(n) for n in rest)]
     else:
@@ -241,9 +242,9 @@ def _triangle_form(pair, s_class: DivisorClass, support: str) -> tuple[int, Divi
     (form index, twist A).  A is the class of the second node in form 1
     and of the first node in forms 2 and 3."""
     for form, node in ((1, pair[1]), (2, pair[0]), (3, pair[0])):
-        twist = _twist(node)
-        if twist and _triangle_pair(form, twist[1], s_class, support) == pair:
-            return form, twist[1]
+        if isinstance(node, TwistedStructureSheaf) \
+                and _triangle_pair(form, node.twist, s_class, support) == pair:
+            return form, node.twist
     return None
 
 
@@ -281,9 +282,9 @@ def _apply_swap(nodes, rule, geom, store):
     ev = []
     for x, y in ((a, b), (b, a)):
         found = store.describe(x, y)
-        if found is None and isinstance(x, LineBundle) \
-                and isinstance(y, TwistedStructureSheaf) \
-                and pushforward_vanishing(geom, x.divisor, y):
+        if found is None and isinstance(x, TwistedStructureSheaf) \
+                and isinstance(y, TwistedStructureSheaf) and not x.support \
+                and pushforward_vanishing(geom, x.twist, y):
             store.add(x, y, PUSHFORWARD)
             found = vanish_text(x, y, f"{PUSHFORWARD}: ruling fiber degree -1")
         if found is None:
@@ -299,9 +300,8 @@ def _apply_swap(nodes, rule, geom, store):
 def _apply_rebase(nodes, rule, geom, store):
     i = rule.position
     a, b = nodes[i - 1], nodes[i]
-    if not (isinstance(a, TwistedStructureSheaf)
-            and isinstance(b, TwistedStructureSheaf)
-            and a.support == b.support):
+    if isinstance(a, Opaque) or isinstance(b, Opaque) \
+            or not a.support or a.support != b.support:
         raise SideConditionFailed(
             "fiber_rebase", "pair must be twisted sheaves on one divisor")
     if a.support != "E":
@@ -488,13 +488,12 @@ class Equivalence:
 
 
 def _split(dec: Decomposition) -> tuple[list[Opaque], list[SodNode]]:
-    tail_start = len(dec.nodes)
-    while tail_start > 0 and isinstance(dec.nodes[tail_start - 1], LineBundle):
-        tail_start -= 1
-    head = list(dec.nodes[:tail_start])
-    if not head or not all(isinstance(n, Opaque) for n in head):
+    """The leading opaque nodes, and the line bundles after them."""
+    head = list(takewhile(lambda n: isinstance(n, Opaque), dec.nodes))
+    tail = list(dec.nodes[len(head):])
+    if not head or any(isinstance(n, Opaque) or n.support for n in tail):
         raise ValueError("decomposition head must consist of opaque components")
-    return head, list(dec.nodes[tail_start:])
+    return head, tail
 
 
 def compare_and_solve(left: Decomposition, right: Decomposition,

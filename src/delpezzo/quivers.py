@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisTooLarge, InfiniteDimensional, MalformedRelation
+from .errors import BasisTooLarge, InfiniteDimensional, MalformedRelation, echo
 
 Arrow = tuple[str, str, str]  # (source, target, name)
 
@@ -95,7 +95,7 @@ def _check_relations(q: Quiver) -> None:
             raise MalformedRelation("empty relation word")
         for name in word:
             if name not in arrows:
-                raise MalformedRelation(f"unknown arrow {name!r} in relation")
+                raise MalformedRelation(f"unknown arrow {echo(name)} in relation")
         for u, v in zip(word, word[1:]):
             if arrows[u][1] != arrows[v][0]:
                 raise MalformedRelation(

@@ -9,18 +9,19 @@ already known to be valid, the pushforward vanishing oracle of the mutation
 engine, and twist closure (Vanish(x, y) implies Vanish(x(t), y(t)) for a
 common line-bundle twist t).  No Ext group is ever computed from sheaf data.
 
-A node's value is its identity.  Line bundles and twisted structure
-sheaves carry {H, E} classes (``node_text`` can write them in {h, D}), and
-an opaque node is known by its name alone (mutating it keeps the name).
-Twist closure is built into the fact keys: a pair of twistable nodes is
-stored by the difference of their classes, which is exactly the invariant
-of a common twist.  Facts with an opaque member only match on the nose.
-The store keeps each fact's nodes and renders text only when asked.
+A node's value is its identity.  Every twistable node is O_S(A), S the
+whole space ("": a line bundle O(A)) or an exceptional divisor, E or D,
+and A an {H, E} class (``node_text`` can write it in {h, D}); an opaque
+node is its name, kept by mutations.  Twist closure is built into the fact
+keys: a twistable pair is stored by its supports and the difference of its
+classes, the invariant of a common twist.  Facts with an opaque member
+only match on the nose.  The store keeps each fact's nodes and renders
+text only when asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intersection import BASIS_HE, DivisorClass, class_text
 
@@ -32,73 +33,55 @@ TWIST_CLOSURE = "twist-closure"
 
 
 @dataclass(frozen=True)
-class LineBundle:
-    divisor: DivisorClass
-
-
-@dataclass(frozen=True)
 class TwistedStructureSheaf:
-    """Structure sheaf of an exceptional divisor (E or D), twisted by an
-    ambient divisor class."""
+    """O_S(A): the structure sheaf of S twisted by the ambient class A.  S is
+    "" for the whole space, which makes the node the line bundle O(A), or an
+    exceptional divisor, E or D."""
 
     support: str
     twist: DivisorClass
 
     def __post_init__(self):
-        if self.support not in ("E", "D"):
-            raise ValueError(f"support must be 'E' or 'D', got {self.support!r}")
+        if self.support not in ("", "E", "D"):
+            raise ValueError(f"support must be '', 'E' or 'D', got {self.support!r}")
+
+
+def LineBundle(divisor: DivisorClass) -> TwistedStructureSheaf:
+    """O(divisor), the twisted structure sheaf of the whole space."""
+    return TwistedStructureSheaf("", divisor)
 
 
 @dataclass(frozen=True)
 class Opaque:
-    """An admissible subcategory tracked up to abstract equivalence.
-
-    Equality and hashing are by name only; a mutation moves the node but
-    keeps its identity, and no embedding is tracked.
-    """
+    """An admissible subcategory up to abstract equivalence, known by its name:
+    a mutation moves the node but keeps its identity; no embedding is tracked."""
 
     name: str
-    perfect: bool | None = field(default=None, compare=False)
 
 
-SodNode = LineBundle | TwistedStructureSheaf | Opaque
+standard_opaque = Opaque
 
-# Declared perfectness of the opaque categories the shipped replays use.
-# The quadric and rational-curve residual components are generated by
-# perfect objects; for the del Pezzo residual component and the full
-# derived categories of the singular spaces no flag is claimed.
-_STANDARD_OPAQUE: dict[str, bool | None] = {
-    "A_C": True,
-    "A_Q": True,
-    "A_V4": None,
-    "A_V5": None,
-    "A_V6": None,
-    "DbC": None,
-    "DbY": None,
-}
+SodNode = TwistedStructureSheaf | Opaque
+
+# The opaque categories declared perfect: the quadric and rational-curve
+# residual components are generated by perfect objects.  No flag is claimed
+# for the del Pezzo residual components or the singular spaces' Db.
+_PERFECT = frozenset({"A_C", "A_Q"})
 
 DISPLAY_NAMES = {"DbC": "Db(C)", "DbY": "Db(Y)"}
 
 
-def standard_opaque(name: str) -> Opaque:
-    return Opaque(name, perfect=_STANDARD_OPAQUE.get(name))
-
-
 def is_perfect(node: SodNode) -> bool | None:
-    """Perfectness flag; line bundles and twisted structure sheaves are
-    always perfect, opaque nodes carry a declared flag (None = unknown)."""
-    if isinstance(node, Opaque):
-        return node.perfect
-    return True
+    """Perfectness flag: twisted structure sheaves are always perfect, an
+    opaque node is perfect when its name is declared so (None = unknown)."""
+    return True if not isinstance(node, Opaque) or node.name in _PERFECT else None
 
 
 def tensor(node: SodNode, cls: DivisorClass) -> SodNode:
     """Tensor a node by a line bundle class; opaque nodes are unchanged."""
-    if isinstance(node, LineBundle):
-        return LineBundle(node.divisor + cls)
-    if isinstance(node, TwistedStructureSheaf):
-        return TwistedStructureSheaf(node.support, node.twist + cls)
-    return node
+    if isinstance(node, Opaque):
+        return node
+    return TwistedStructureSheaf(node.support, node.twist + cls)
 
 
 @dataclass(frozen=True)
@@ -112,11 +95,10 @@ class Decomposition:
 
 def node_text(node: SodNode, basis: str = BASIS_HE, d: int | None = None) -> str:
     """Parseable literal for a node, optionally written in {h, D} at degree d."""
-    if isinstance(node, LineBundle):
-        return f"O({class_text(node.divisor, basis, d)})"
-    if isinstance(node, TwistedStructureSheaf):
-        return f"O_{node.support}({class_text(node.twist, basis, d)})"
-    return f"CAT({node.name})"
+    if isinstance(node, Opaque):
+        return f"CAT({node.name})"
+    head = "O_" + node.support if node.support else "O"
+    return f"{head}({class_text(node.twist, basis, d)})"
 
 
 def decomposition_text(dec: Decomposition, basis: str = BASIS_HE,
@@ -124,28 +106,18 @@ def decomposition_text(dec: Decomposition, basis: str = BASIS_HE,
     return "<" + ", ".join(node_text(n, basis, d) for n in dec.nodes) + ">"
 
 
-def _twist(node: SodNode) -> tuple[str, DivisorClass] | None:
-    """(kind, class) of a twistable node; None for an opaque one."""
-    if isinstance(node, LineBundle):
-        return "O", node.divisor
-    if isinstance(node, TwistedStructureSheaf):
-        return "O_" + node.support, node.twist
-    return None
-
-
 def vanish_key(x: SodNode, y: SodNode):
     """Canonical key of the fact Vanish(x, y).
 
-    For a pair of twistable nodes the key depends only on the class
-    difference, which makes twist closure automatic, involutive and
-    additive under composed twists.  Pairs involving an opaque node match
-    exactly, by value.  The difference is taken on the {H, E} coordinates.
+    For a pair of twistable nodes the key depends only on the supports and
+    the class difference, taken on the {H, E} coordinates, which makes
+    twist closure automatic, involutive and additive under composed twists.
+    Pairs involving an opaque node match exactly, by value.
     """
-    tx, ty = _twist(x), _twist(y)
-    if tx is None or ty is None:
+    if isinstance(x, Opaque) or isinstance(y, Opaque):
         return ("exact", x, y)
-    (a, b), (c, e) = tx[1].coords, ty[1].coords
-    return ("tw", tx[0], ty[0], c - a, e - b)
+    (a, b), (c, e) = x.twist.coords, y.twist.coords
+    return ("tw", x.support, y.support, c - a, e - b)
 
 
 def vanish_text(x: SodNode, y: SodNode, provenance: str) -> str:

@@ -8,8 +8,11 @@ rows by multiplying out every entry on its own, the seeded
 hypersurface builder and the defect with every value, kernel vector and
 chart Hessian over ``Fraction`` at chart-normalized nodes, the linear
 change of coordinates by expanding f(Ax) over ``Fraction`` one linear
-factor at a time, quiver dimensions by a forbidden-factor automaton walk
-and quiver bases by a brute-force search of composable words.
+factor at a time, quiver dimensions by a forbidden-factor automaton walk,
+quiver bases by a brute-force search of composable words, and the Euler
+form of twisted structure sheaves by Hirzebruch-Riemann-Roch, which no
+replay computes: facts enter replays as axioms and rules, never as Ext
+groups.
 """
 
 from __future__ import annotations
@@ -357,3 +360,37 @@ def nonzero_words(vertices, arrows, relations):
                  for s, t, name in arrows
                  if s == end and clean(word + (name,))]
     return texts
+
+
+# The exceptional divisors in {H, E}: E itself, and D = h - E where the
+# projection from the line gives H = 3h - D (d = 4) or H = 2h - D (d = 5).
+_DIVISOR = {"E": {4: (0, 1), 5: (0, 1)}, "D": {4: (2, -3), 5: (1, -2)}}
+
+
+def chi_line_bundle(d, a, b):
+    """chi(O(D)) for D = aH + bE on the line blow-up Y_d, by
+    Hirzebruch-Riemann-Roch: D^3/6 - K.D^2/4 + D.(K^2 + c2)/12 + 1 with
+    K = -2H + E.  chi(O(H)) = d + 2 and chi(O(E)) = 1 fix the linear term
+    as a(d/3 + 1) + b/2."""
+    from delpezzo.intersection import BlowupGeometry, he, triple
+    geom, D, K = BlowupGeometry(d), he(a, b), he(-2, 1)
+    return (Fraction(triple(geom, D, D, D), 6) - Fraction(triple(geom, K, D, D), 4)
+            + Fraction(a * (d + 3), 3) + Fraction(b, 2) + 1)
+
+
+def _k_class(d, node):
+    """The class of O_S(t) in K_0 as signed line bundles (sign, a, b):
+    O(t) on the whole space, O(t) - O(t - S) on a divisor S."""
+    a, b = node.twist.coords
+    if not node.support:
+        return [(1, a, b)]
+    s0, s1 = _DIVISOR[node.support][d]
+    return [(1, a, b), (-1, a - s0, b - s1)]
+
+
+def euler_form(d, x, y):
+    """chi(x, y) = sum of (-1)^i dim Ext^i(x, y) for twistable nodes on Y_d,
+    bilinear on K_0 with chi(O(A), O(B)) = chi(O(B - A)).  It is 0 whenever
+    every graded Hom from x to y vanishes."""
+    return sum(sx * sy * chi_line_bundle(d, ya - xa, yb - xb)
+               for sx, xa, xb in _k_class(d, x) for sy, ya, yb in _k_class(d, y))

@@ -17,7 +17,7 @@ from delpezzo.ktheory import k_minus1_total, kawamata_gate, standard_models
 from delpezzo.mutations import compare_and_solve, replay
 from delpezzo.quivers import (cartan_matrix, double_burban, path_basis,
                               single_burban)
-from delpezzo.sod import FactStore, Opaque
+from delpezzo.sod import FactStore, Opaque, TwistedStructureSheaf
 from delpezzo.wps import (WeightedSpace, build_nodal_hypersurface, defect,
                           enumerate_monomials)
 from corrupt import corrupted_scripts
@@ -92,9 +92,9 @@ def test_criterion_4_replay_suite():
         for entry in audit.entries:
             assert entry.evidence
     # the displayed decompositions, node for node
-    v5 = [str(n) for n in finals["prop-Y-to-V"].nodes]
-    assert [type(n).__name__ for n in finals["prop-Y-to-V"].nodes] == \
-        ["Opaque"] + ["LineBundle"] * 4
+    head, *tail = finals["prop-Y-to-V"].nodes
+    assert isinstance(head, Opaque) and len(tail) == 4
+    assert all(isinstance(n, TwistedStructureSheaf) and n.support == "" for n in tail)
     corrupted = checked = 0
     for name in builtin_script_names():
         script = load_builtin_script(name)

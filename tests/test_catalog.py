@@ -1,7 +1,7 @@
 import pytest
 
-from delpezzo.catalog import (enumerate_degenerations, entries_for, lookup,
-                              singularity_budget)
+from delpezzo.catalog import (CENTER_PIECES, QUADRIC_PIECES, enumerate_degenerations,
+                              entries_for, lookup, singularity_budget)
 from delpezzo.errors import (BudgetExceeded, OutOfRangeDegree, UnknownDegree,
                              UnsupportedDegree)
 
@@ -53,6 +53,11 @@ def test_singularity_budget():
     assert singularity_budget(6) == (1, "only nodal")
     with pytest.raises(OutOfRangeDegree):
         singularity_budget(3)
+
+
+def test_degree_five_node_budget_is_the_piece_tables():
+    # row k of each piece table is the piece that carries k nodes
+    assert len(CENTER_PIECES) - 1 + len(QUADRIC_PIECES) - 1 == lookup(5).max_nodes == 3
 
 
 @pytest.mark.parametrize("total,expected", [

@@ -504,3 +504,39 @@ def test_a_key_value_error_echoes_a_bounded_argument(capsys, arg, message):
     assert (code, out) == (2, "")
     assert err == f"error [InstanceFormatError/71]: {message}\n"
     assert len(err.encode()) < 200
+
+
+_NAME = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("defect", _NAME), ("replay", _NAME), ("quiver", _NAME),
+    ("defect", str(GOLDEN / "cubic-6n.hyp" / "x")),
+], ids=["defect-long-name", "replay-long-name", "quiver-long-name", "defect-below-a-file"])
+def test_a_path_the_system_refuses_is_an_input_fault(argv):
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error [InstanceFormatError/71]: ")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 300
+
+
+@pytest.mark.parametrize("name, body, message", [
+    ("degree.hyp", "weights 1 1 1 1 1\ndegree " + "9" * 5000 + "\n",
+     f"InstanceFormatError/71]: line 2: bad integer, over "
+     f"{sys.get_int_max_str_digits()} digits: '{'9' * 32}'..."),
+    ("node.hyp", "weights 1 1 1 1 1\ndegree 3\nnode " + "a" * 5000 + "\n",
+     f"InstanceFormatError/71]: line 3: bad rational '{'a' * 32}'..."),
+    ("twice.quiver", f"vertices {_NAME} {_NAME}\n",
+     f"InstanceFormatError/71]: line 1: duplicate vertex '{'x' * 32}'..."),
+    ("relation.quiver", f"vertices a\narrow r a a\nrelation {_NAME}\n",
+     f"MalformedRelation/40]: unknown arrow '{'x' * 32}'... in relation"),
+], ids=["long-degree", "long-node-token", "long-duplicate-vertex", "long-relation-arrow"])
+def test_a_file_token_error_echoes_a_bounded_token(tmp_path, capsys, name, body, message):
+    path = tmp_path / name
+    path.write_text(body)
+    command = "quiver" if name.endswith(".quiver") else "defect"
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error [{message}\n"
+    assert len(err.encode()) < 200

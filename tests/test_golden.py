@@ -32,8 +32,9 @@ DefectReport))``, recorded with the dense Bareiss pass that
 ``oracles.dense_forward`` keeps.
 
 ``defect-survey.txt`` and ``replay-proofs.txt`` are the standard output of
-the two scripts under ``scripts/``, recorded with the same kernel; the CI
-workflow diffs each script's output against them under three hash seeds.
+the two scripts under ``scripts/``, recorded with the same kernel; each
+script runs in a fresh process under three hash seeds, because set order
+follows the seed, and must print its file byte for byte.
 
 ``defect-reports.json`` holds the argv, exit code, stdout and stderr of
 ``delpezzo defect <file> --seed 0``, as text and with ``--json``, for every
@@ -45,6 +46,9 @@ entries were re-recorded as the refusal above.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
 from itertools import permutations
@@ -53,6 +57,7 @@ from pathlib import Path
 
 import pytest
 
+import delpezzo
 from delpezzo import dsl, wps
 from delpezzo.cli import main
 from delpezzo.errors import NodeAtAmbientSingularity
@@ -125,3 +130,17 @@ def test_defect_report_matches_golden(case, monkeypatch):
         code = main(case["argv"])
     assert (code, out.getvalue(), err.getvalue()) == \
         (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+@pytest.mark.parametrize("script, golden", [
+    ("defect_survey.py", "defect-survey.txt"),
+    ("replay_proofs.py", "replay-proofs.txt"),
+])
+def test_script_prints_its_golden_text(script, golden, seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / golden).read_text()

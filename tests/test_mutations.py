@@ -8,7 +8,7 @@ from delpezzo.errors import (FinalMismatch, PerfectnessUnknown,
 from delpezzo.intersection import BlowupGeometry, he
 from delpezzo.mutations import (MutationRule, apply_rule, blowup_expansion,
                                 compare_and_solve, pushforward_vanishing,
-                                replay)
+                                replay, ruling_fiber_degree)
 from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle, Opaque,
                           TwistedStructureSheaf, record_decomposition,
                           standard_opaque)
@@ -93,6 +93,22 @@ def test_serre_rotate_requires_perfect_block():
         apply_rule(dec, rule, store, geom)
 
 
+def test_serre_rotate_reads_perfectness_from_the_name():
+    store, geom = FactStore(), BlowupGeometry(5)
+    dec = Decomposition("Y5", (Opaque("A_C"), Opaque("A_V5")))
+    rule = MutationRule("serre_rotate", 1, position_end=1, direction="left")
+    out, _ = apply_rule(dec, rule, store, geom)
+    assert out.nodes == (Opaque("A_V5"), Opaque("A_C"))
+
+
+def test_fiber_rebase_refuses_two_line_bundles():
+    dec = Decomposition("Y5", (O(1, 0), O(2, 0)))
+    with pytest.raises(SideConditionFailed,
+                       match="pair must be twisted sheaves on one divisor"):
+        apply_rule(dec, MutationRule("fiber_rebase", 1, shift="+F"),
+                   FactStore(), BlowupGeometry(5))
+
+
 def test_fiber_rebase_example():
     store, geom = FactStore(), BlowupGeometry(5)
     dec = Decomposition("Y5", (OE(1, 0), OE(2, 0)))
@@ -142,6 +158,10 @@ def test_pushforward_oracle():
     # the projection-side divisor works through the registered relations
     d_sheaf = TwistedStructureSheaf("D", geom.divisor_generator("D"))
     assert pushforward_vanishing(geom, he(0, 0), d_sheaf)
+    # the same twists on the whole space: no ruling, so no answer
+    for twist in (he(2, 0), d_sheaf.twist):
+        assert not pushforward_vanishing(geom, he(1, -1), LineBundle(twist))
+        assert ruling_fiber_degree(geom, "", twist) is None
 
 
 def test_swap_discharged_by_oracle():
@@ -156,9 +176,9 @@ def test_expansion_registry():
     assert blowup_expansion(6, "L") is not None
     assert blowup_expansion(6, "C") is None
     assert blowup_expansion(5, "X") is None
-    nodes = blowup_expansion(4, "C")
-    assert [type(n).__name__ for n in nodes] == \
-        ["Opaque", "LineBundle", "LineBundle", "LineBundle", "LineBundle"]
+    head, *tail = blowup_expansion(4, "C")
+    assert isinstance(head, Opaque) and len(tail) == 4
+    assert all(isinstance(n, TwistedStructureSheaf) and n.support == "" for n in tail)
 
 
 def test_replay_determinism():

@@ -7,7 +7,7 @@ from delpezzo.sod import (AXIOM, Decomposition, FactStore, LineBundle, Opaque,
                           RECORDED, TwistedStructureSheaf, is_perfect,
                           missing_pairs, node_text, query_complete_orthogonality,
                           record_decomposition, standard_opaque, tensor,
-                          validate)
+                          validate, vanish_key)
 
 
 def O(a, b):
@@ -104,13 +104,27 @@ def test_twist_closure_never_crosses_kinds():
 def test_opaque_equality_is_by_name():
     a = standard_opaque("A_C")
     b = Opaque("A_C")
-    assert a.perfect is True and b.perfect is None
+    assert is_perfect(a) is is_perfect(b) is True
     assert a == b
     assert hash(a) == hash(b)
     assert a != standard_opaque("A_Q")
     store = FactStore()
     store.add(a, O(0, 0), AXIOM)
     assert store.has(b, O(0, 0))
+
+
+def test_a_line_bundle_is_the_structure_sheaf_of_the_whole_space():
+    a = he(2, -1)
+    assert TwistedStructureSheaf("", a) == LineBundle(a)
+    assert hash(TwistedStructureSheaf("", a)) == hash(LineBundle(a))
+    assert vanish_key(TwistedStructureSheaf("", a), O(0, 0)) == \
+        vanish_key(LineBundle(a), O(0, 0))
+    store = FactStore()
+    assert store.add(TwistedStructureSheaf("", a), O(0, 0), AXIOM)
+    assert not store.add(LineBundle(a), O(0, 0), AXIOM)
+    assert node_text(TwistedStructureSheaf("", a)) == "O(2H-E)"
+    with pytest.raises(ValueError):
+        TwistedStructureSheaf("Q", a)
 
 
 def test_opaque_facts_do_not_twist():
