@@ -7,9 +7,11 @@ first line under --quiet, every line otherwise.  Exit code 0 means success
 or a verdict, 1 a verification failure (a replay or comparison that does
 not check out), 2 an input error; a reader closing stdout early changes none.
 
-Each handler imports the modules its subcommand uses (``gate`` and
-``quiver`` never load ``wps``); ``replay`` stays a module-level name, the
-attribute ``cli.replay`` through which perfbench's tracer times replays.
+``cli`` itself loads only ``errors``; each handler imports the modules its
+subcommand uses, so ``gate``, ``catalog``, ``degenerations`` and the builtin
+quivers load neither ``wps`` nor ``mutations``.  The module ``__getattr__``
+keeps ``cli.replay`` (``mutations.replay``) for perfbench's tests, which pin
+it; the alias goes once ROADMAP item 4 drops that pin.
 """
 
 from __future__ import annotations
@@ -23,18 +25,14 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import NAME_ECHO, InstanceFormatError, ToolError, UndecodableInput, echo
-from .intersection import BlowupGeometry, triple
-# `mutations`, kept for `cli.replay`, loads `sod` and `intersection` anyway
-from .mutations import replay
-from .sod import DISPLAY_NAMES, FactStore, Opaque, node_text
+from .errors import NAME_ECHO, InstanceFormatError, ToolError, UndecodableInput, clip, echo
 
 
-def _pretty_node(node, basis, d) -> str:
-    if isinstance(node, Opaque):
-        return DISPLAY_NAMES.get(node.name, node.name)
-    text = node_text(node, basis, d)
-    return "O" if text == "O(0)" else text
+def __getattr__(name: str):
+    if name == "replay":
+        from .mutations import replay
+        return replay
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
@@ -63,8 +61,7 @@ def _read_input(path: Path) -> str:
     """Text of an input file.  Bytes that are not UTF-8 and a path the
     system cannot read (missing, a directory, unreadable, too long) are
     input faults naming the path, cut after NAME_ECHO characters."""
-    where = str(path)
-    where = where if len(where) <= NAME_ECHO else where[:NAME_ECHO] + "..."
+    where = clip(str(path), NAME_ECHO)
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -102,14 +99,24 @@ def _resolve_script(name: str):
 
 
 def _cmd_replay(args) -> tuple[dict, list[str]]:
+    from . import mutations   # replay is looked up per call, so a tracer's wrapper runs
+    from .intersection import BlowupGeometry
+    from .sod import DISPLAY_NAMES, FactStore, Opaque, node_text
     script = _resolve_script(args.script)
     store = FactStore()
-    final, audit = replay(script, store, BlowupGeometry(script.d))
+    final, audit = mutations.replay(script, store, BlowupGeometry(script.d))
     basis, d = script.display_basis, script.d
+
+    def pretty(node) -> str:
+        if isinstance(node, Opaque):
+            return DISPLAY_NAMES.get(node.name, node.name)
+        text = node_text(node, basis, d)
+        return "O" if text == "O(0)" else text
+
     payload = {
         "script": script.name,
         "ambient": script.ambient,
-        "final": [_pretty_node(n, basis, d) for n in final.nodes],
+        "final": [pretty(n) for n in final.nodes],
         "audit": audit.to_dict(),
         "facts": store.dump(),
         "ok": True,
@@ -121,6 +128,7 @@ def _cmd_replay(args) -> tuple[dict, list[str]]:
 
 def _cmd_intersect(args) -> tuple[dict, list[str]]:
     from . import dsl
+    from .intersection import BlowupGeometry, triple
     kv = [a for a in args.args if a.startswith("d=")]
     rest = [a for a in args.args if not a.startswith("d=")]
     params = _parse_kv(kv, {"d": True})
@@ -136,10 +144,11 @@ _BUILTIN_QUIVERS = ("single-burban", "double-burban")
 
 
 def _cmd_quiver(args) -> tuple[dict, list[str]]:
-    from . import dsl, quivers
+    from . import quivers
     if args.quiver in _BUILTIN_QUIVERS:
         q = getattr(quivers, args.quiver.replace("-", "_"))()
     elif os.path.isfile(args.quiver):
+        from . import dsl
         q = dsl.parse_quiver(_read_input(Path(args.quiver)))
     else:
         raise InstanceFormatError(

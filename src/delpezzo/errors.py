@@ -195,6 +195,11 @@ class UndecodableInput(InputFault):
 TOKEN_ECHO, NAME_ECHO = 32, 128
 
 
+def clip(text: str, limit: int) -> str:
+    """text cut after its first `limit` characters, unquoted."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def echo(text: str, limit: int = TOKEN_ECHO) -> str:
     """repr of rejected input, cut after its first `limit` characters."""
     return repr(text) if len(text) <= limit else repr(text[:limit]) + "..."

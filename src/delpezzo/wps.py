@@ -19,8 +19,10 @@ The canonical form scales a weight-1 coordinate to 1, so points without a
 nonvanishing one are rejected rather than guessed.  Nodality (Hessian rank
 dim W) needs no chart; see ``hessian_rank``.
 
-Monomial bases and the search for them are bounded (``MAX_MONOMIALS``), so
-no degree makes the builder, the certifier or the defect run unbounded.
+Monomial bases and the search for them are bounded (``MAX_MONOMIALS``), and
+so is the number of weights (``MAX_WEIGHTS``): the search costs up to n**2
+per monomial and the derivative table n**2 partials, for n weights.  So no
+degree or ambient makes the builder, the certifier or the defect run unbounded.
 
 Internally the builder and the certifier run on integers.  A node is kept
 chart-normalized (chart coordinate 1, Fraction coordinates) and evaluated at
@@ -57,9 +59,9 @@ from math import gcd, lcm, perm, prod
 from operator import add, mul, sub
 
 from . import lattice
-from .errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
+from .errors import (TOKEN_ECHO, DegreeTooLarge, InvalidNode, InvariantViolation,
                      NegativeLDegree, NoSolution, NodalityFailed,
-                     NodeAtAmbientSingularity, UnsupportedChart)
+                     NodeAtAmbientSingularity, UnsupportedChart, clip)
 
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -67,6 +69,7 @@ Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebr
 
 MAX_TRIES = 64   # coefficient draws the builder makes before giving up
 MAX_MONOMIALS = 2_000   # largest monomial basis enumerate_monomials lists
+MAX_WEIGHTS = 16   # most weights a WeightedSpace takes
 
 
 def _fraction(c) -> Fraction:
@@ -76,13 +79,13 @@ def _fraction(c) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """P(w_0, ..., w_n); all weights >= 1 with overall gcd 1."""
+    """P(w_0, ..., w_n); 2 to MAX_WEIGHTS weights, all >= 1, with gcd 1."""
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weights) < 2:
-            raise ValueError("need at least two weights")
+        if not 2 <= len(self.weights) <= MAX_WEIGHTS:
+            raise ValueError(f"need 2 to {MAX_WEIGHTS} weights, got {len(self.weights)}")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
         if gcd(*self.weights) != 1:
@@ -101,7 +104,10 @@ class WeightedSpace:
         have gcd > 1, a partial test) and UnsupportedChart (no such c_j)."""
         point = tuple(map(_fraction, point))
         if len(point) != len(self.weights):
-            raise InvalidNode(f"node {' '.join(map(str, point))} has {len(point)} "
+            # each coordinate prints as at least one character, so the first
+            # TOKEN_ECHO of them fill the clipped echo
+            shown = clip(" ".join(map(str, point[:TOKEN_ECHO])), TOKEN_ECHO)
+            raise InvalidNode(f"node {shown} has {len(point)} "
                               f"coordinates, expected {len(self.weights)}")
         active = [w for w, c in zip(self.weights, point) if c]
         if not active:

@@ -206,6 +206,21 @@ def test_defect_invalid_node_is_an_input_fault(tmp_path, nodes, message):
     assert proc.stderr == f"error [InvalidNode/16]: {message}\n"
 
 
+@pytest.mark.parametrize("count, name, message", [
+    (16, "NegativeLDegree", "adjoint twist has degree -10; formula does not apply"),
+    (17, "InstanceFormatError", "line 1: need 2 to 16 weights, got 17"),
+    # past the recursion limit of the monomial search, which recurses per weight
+    (3000, "InstanceFormatError", "line 1: need 2 to 16 weights, got 3000"),
+], ids=["16", "17", "3000"])
+def test_defect_bounds_the_number_of_weights(tmp_path, count, name, message):
+    inst = tmp_path / "wide.hyp"
+    inst.write_text("weights" + " 1" * count + "\ndegree 3\n")
+    proc = run_module("defect", "--json", str(inst), timeout=20)
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)["error"]
+    assert (error["name"], error["message"]) == (name, message)
+
+
 @pytest.mark.parametrize("body, message", [
     ("weights 1 1 1 1 1\ndegree 1000000\nnode 1 0 0 0 0\n",
      "degree 1000000 on P(1, 1, 1, 1, 1) has more than 2,000 monomials"),
@@ -531,7 +546,12 @@ def test_a_path_the_system_refuses_is_an_input_fault(argv):
      f"InstanceFormatError/71]: line 1: duplicate vertex '{'x' * 32}'..."),
     ("relation.quiver", f"vertices a\narrow r a a\nrelation {_NAME}\n",
      f"MalformedRelation/40]: unknown arrow '{'x' * 32}'... in relation"),
-], ids=["long-degree", "long-node-token", "long-duplicate-vertex", "long-relation-arrow"])
+    ("wide-node.hyp", "weights 1 1 1 1 1\ndegree 3\nnode 1" + " 0" * 2999 + "\n",
+     f"InvalidNode/16]: node 1{' 0' * 15} ... has 3000 coordinates, expected 5"),
+    ("tall-node.hyp", "weights 1 1 1 1 1\ndegree 3\nnode" + (" " + "7" * 4000) * 3 + "\n",
+     f"InvalidNode/16]: node {'7' * 32}... has 3 coordinates, expected 5"),
+], ids=["long-degree", "long-node-token", "long-duplicate-vertex", "long-relation-arrow",
+        "node-of-3000-coordinates", "node-of-4000-digit-coordinates"])
 def test_a_file_token_error_echoes_a_bounded_token(tmp_path, capsys, name, body, message):
     path = tmp_path / name
     path.write_text(body)

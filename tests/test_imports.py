@@ -64,24 +64,41 @@ def test_wps_loads_only_its_own_layers():
     assert loaded_after("from delpezzo import wps") == {"errors", "lattice", "wps"}
 
 
-def test_cli_loads_only_the_replay_layers():
-    assert loaded_after("import delpezzo.cli") == {
-        "cli", "errors", "intersection", "mutations", "sod"}
+def test_cli_loads_only_errors():
+    assert loaded_after("import delpezzo.cli") == {"cli", "errors"}
 
 
-@pytest.mark.parametrize("argv", [["quiver", "double-burban"],
-                                  ["gate", "d=5", "nodes=2"]])
-def test_verdict_commands_skip_the_hypersurface_layers(argv):
+def test_cli_replay_is_the_mutations_replay():
+    from delpezzo import cli, mutations
+    assert cli.replay is mutations.replay
+    assert "replay" not in vars(cli)   # read through the module __getattr__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+GOLDEN = SRC.parent / "tests" / "golden"
+REPLAY_LAYERS = {"dsl", "mutations", "sod", "intersection"}
+# The README's Cold start table: the modules each subcommand loads besides
+# cli and errors; a file argument names a file in tests/golden.  So the
+# verdict commands skip wps and lattice, and defect skips ktheory and catalog.
+LOADS = {
+    "gate d=5 nodes=2": {"ktheory", "catalog", "quivers", "sod", "intersection"},
+    "catalog": {"catalog", "quivers"},
+    "catalog 5": {"catalog", "quivers"},
+    "degenerations d=5 nodes=2": {"catalog", "quivers"},
+    "quiver double-burban": {"quivers"},
+    "quiver alternating-3.quiver": {"quivers"} | REPLAY_LAYERS,
+    "replay prop-Y-to-V": REPLAY_LAYERS,
+    "intersect d=5 (H-E)^3": REPLAY_LAYERS,
+    "defect segre-cubic.hyp": {"wps", "lattice"} | REPLAY_LAYERS,
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_each_subcommand_loads_exactly_its_layers(command):
+    argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in command.split()]
     loaded = loaded_after(f"from delpezzo.cli import main\nassert main({argv!r}) == 0")
-    assert not loaded & {"wps", "lattice"}
-
-
-def test_defect_skips_the_verdict_layers():
-    hyp = SRC.parent / "tests" / "golden" / "segre-cubic.hyp"
-    loaded = loaded_after(
-        f"from delpezzo.cli import main\nassert main(['defect', {str(hyp)!r}]) == 0")
-    assert {"wps", "lattice"} <= loaded
-    assert not loaded & {"ktheory", "catalog"}
+    assert loaded == {"cli", "errors"} | LOADS[command]
 
 
 def test_every_export_is_the_object_its_module_defines():
