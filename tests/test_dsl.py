@@ -146,6 +146,27 @@ def test_display_basis_detection():
     assert load_builtin_script("prop-Y-to-V").display_basis == "HE"
 
 
+# (script, its canonical text): the expect line alone picks the writing
+# basis, {h, D} when one of its classes is written in h and D
+_DISPLAY_CASES = [
+    ("ambient Y d=5\naxiom <O(h), O(D-h)>\nexpect <O(H-E)>\n",
+     "ambient Y d=5\naxiom <O(H-E), O(-E)>\nexpect <O(H-E)>\n"),
+    ("ambient Y d=5\naxiom <O(H), O_E(E)>\nexpect <O(0), O_D( h), O(0)>\n",
+     "ambient Y d=5\naxiom <O(2h-D), O_E(h-D)>\nexpect <O(0), O_D(h), O(0)>\n"),
+    ("ambient Y d=5\naxiom <O(h), CAT(DbY)>\nexpect <O(0), CAT(DbY)>\n",
+     "ambient Y d=5\naxiom <O(H-E), CAT(DbY)>\nexpect <O(0), CAT(DbY)>\n"),
+]
+
+
+@pytest.mark.parametrize("text,rendered", _DISPLAY_CASES)
+def test_expect_line_picks_the_writing_basis(text, rendered):
+    script = parse_script(text)
+    assert render_script(script) == rendered
+    again = parse_script(rendered)
+    assert again == script
+    assert render_script(again) == rendered
+
+
 def test_instance_round_trip():
     space = WeightedSpace((1, 1, 1, 1, 1))
     hyp = build_nodal_hypersurface(space, 3, [(0, 0, 0, 0, 1)])
