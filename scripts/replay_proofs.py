@@ -19,7 +19,7 @@ def main():
         script = load_builtin_script(name)
         final, audit = replay(script, FactStore(), BlowupGeometry(script.d))
         print(f"\n{audit.text()}", end="")
-        print(f"=> {name}: {decomposition_text(final, script.display_basis, script.d)}")
+        print(f"=> {name}: {decomposition_text(final, script.hd_degree)}")
 
     print("\n== identifying the residual components ==")
     for d, vname in ((4, "prop-Y-to-V-4"), (5, "prop-Y-to-V")):

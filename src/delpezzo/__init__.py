@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("catalog", "DelPezzoEntry DegenerationCase enumerate_degenerations lookup "
                 "singularity_budget"),
-    ("intersection", "BASIS_HE BASIS_hD BlowupGeometry DivisorClass canonical_class "
-                     "from_hd he iskovskikh_degree rewrite triple"),
+    ("intersection", "BlowupGeometry DivisorClass canonical_class from_hd he "
+                     "iskovskikh_degree rewrite triple"),
     ("ktheory", "ComponentModel GateVerdict KProfile consistency_check k_minus1_total "
                 "k0_total kawamata_gate standard_models"),
     ("lattice", "IntMatrix rank rational_nullspace"),

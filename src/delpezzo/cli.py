@@ -105,12 +105,11 @@ def _cmd_replay(args) -> tuple[dict, list[str]]:
     script = _resolve_script(args.script)
     store = FactStore()
     final, audit = mutations.replay(script, store, BlowupGeometry(script.d))
-    basis, d = script.display_basis, script.d
 
     def pretty(node) -> str:
         if isinstance(node, Opaque):
             return DISPLAY_NAMES.get(node.name, node.name)
-        text = node_text(node, basis, d)
+        text = node_text(node, script.hd_degree)
         return "O" if text == "O(0)" else text
 
     payload = {

@@ -12,11 +12,12 @@ A rule line follows its template in ``mutations.RULES``: literal words,
 integer slots, word choices such as left|right, and the block <i>..<j>.
 A decomposition literal is `<node, node, ...>` with node syntax
 O(aH+bE), O_E(aH+bE), O(ah+bD), O_D(ah+bD) or CAT(name); class syntax is a
-signed integer combination of H and E or of h and D, or 0.  Parse
-errors report line and column; a header degree other than 4, 5 or 6 is an
-OutOfRangeDegree naming the header line, and an {h, D} literal at a
-degree without registered relations is a NoRelationsForDegree naming its
-line and column.
+signed integer combination of H and E or of h and D, or 0.  A script
+whose expect line writes a class in h and D renders in {h, D} at its
+degree, any other in {H, E}.  Parse errors report line and column; a
+header degree other than 4, 5 or 6 is an OutOfRangeDegree naming the
+header line, and an {h, D} literal at a degree without registered
+relations is a NoRelationsForDegree naming its line and column.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (NAME_ECHO, InstanceFormatError, NoRelationsForDegree,
                      OutOfRangeDegree, ScriptSyntaxError, echo)
-from .intersection import BASIS_HE, BASIS_hD, BlowupGeometry, DivisorClass, from_hd, he
+from .intersection import BlowupGeometry, DivisorClass, from_hd, he
 from .mutations import RULES, SLOT, MutationRule, ReplayScript
 from .sod import (Decomposition, Opaque, SodNode, TwistedStructureSheaf,
                   decomposition_text)
@@ -53,13 +54,13 @@ def _read_int(digits: str, line: int, col: int) -> int:
                                 f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[str, int, int]:
-    """Parse '2H-E', '-h', 'D-2h' or '0' into (basis, a, b), the class
-    a*H + b*E or a*h + b*D."""
+def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[bool, int, int]:
+    """Parse '2H-E', '-h', 'D-2h' or '0' into (hd, a, b): the class
+    a*H + b*E, or a*h + b*D when hd is True."""
     col += len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("0", "-0", "+0"):
-        return BASIS_HE, 0, 0
+        return False, 0, 0
     pos = 0
     coeffs: dict[str, int] = {}
     while pos < len(text):
@@ -72,17 +73,22 @@ def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[str, int, int]:
         sym = m.group(3)
         coeffs[sym] = coeffs.get(sym, 0) + sign * mag
         pos = m.end()
-    for basis, (s, t) in ((BASIS_HE, "HE"), (BASIS_hD, "hD")):
+    for hd, (s, t) in ((False, "HE"), (True, "hD")):
         if set(coeffs) <= {s, t}:
-            return basis, coeffs.get(s, 0), coeffs.get(t, 0)
+            return hd, coeffs.get(s, 0), coeffs.get(t, 0)
     raise ScriptSyntaxError(line, col, "a class over one basis, {H,E} or {h,D}")
 
 
-def _read_class(basis: str, a: int, b: int, d: int | None) -> DivisorClass:
-    return he(a, b) if basis == BASIS_HE else from_hd(a, b, d)
+def _read_class(hd: bool, a: int, b: int, d: int | None) -> DivisorClass:
+    return from_hd(a, b, d) if hd else he(a, b)
 
 
 def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNode:
+    return _read_node(token, d, line, col)[0]
+
+
+def _read_node(token: str, d: int | None, line: int, col: int) -> tuple[SodNode, bool]:
+    """A node literal, and whether its class is written in {h, D}."""
     m = _NODE_RE.match(token)
     if m is None:
         raise ScriptSyntaxError(line, col, "a node like O(H-E), O_E(E), CAT(A_C)")
@@ -90,15 +96,15 @@ def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNod
     if head == "CAT":
         if not re.fullmatch(r"[A-Za-z0-9_*']+", body):
             raise ScriptSyntaxError(line, col, "a category name")
-        return Opaque(body)
-    basis, a, b = parse_class(body, line, col + len(head) + 1)
-    if basis != BASIS_HE and d is None:
+        return Opaque(body), False
+    hd, a, b = parse_class(body, line, col + len(head) + 1)
+    if hd and d is None:
         raise ScriptSyntaxError(line, col, "an {H,E} class (no degree in scope)")
     try:
-        cls = _read_class(basis, a, b, d)
+        cls = _read_class(hd, a, b, d)
     except NoRelationsForDegree as exc:
         raise NoRelationsForDegree(f"line {line}, col {col}: {exc}") from None
-    return TwistedStructureSheaf(head[2:], cls)
+    return TwistedStructureSheaf(head[2:], cls), hd
 
 
 class _Line:
@@ -140,8 +146,10 @@ def _strip_comment(text: str) -> str:
     return text.split("#", 1)[0]
 
 
-def _parse_decomposition(ln: _Line, d: int | None, ambient: str) -> Decomposition:
-    # the literal is the rest of the line: split it on <, ',', >
+def _parse_decomposition(ln: _Line, d: int | None,
+                         ambient: str) -> tuple[Decomposition, bool]:
+    """The literal that is the rest of the line, split on <, ',' and >, and
+    whether one of its classes is written in {h, D}."""
     tok = ln.peek()
     if tok is None:
         raise ScriptSyntaxError(ln.number, 1, "a decomposition literal")
@@ -155,9 +163,10 @@ def _parse_decomposition(ln: _Line, d: int | None, ambient: str) -> Decompositio
     nodes, start = [], col + 1
     for part in text[1:-1].split(","):
         lead = len(part) - len(part.lstrip())
-        nodes.append(parse_node(part.strip(), d, ln.number, start + lead))
+        nodes.append(_read_node(part.strip(), d, ln.number, start + lead))
         start += len(part) + 1
-    return Decomposition(ambient, tuple(nodes))
+    return (Decomposition(ambient, tuple(node for node, _ in nodes)),
+            any(hd for _, hd in nodes))
 
 
 # what an integer slot of a rule template expects
@@ -219,7 +228,7 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
     axioms: list[Decomposition] = []
     rules: list[MutationRule] = []
     expected: Decomposition | None = None
-    display_basis = BASIS_HE
+    hd_degree = None
     for ln in lines[1:]:
         if expected is not None:
             tok, col = ln.tokens[0]
@@ -229,13 +238,10 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
             if rules:
                 raise ScriptSyntaxError(ln.number, col,
                                         "axioms before the first rule")
-            axioms.append(_parse_decomposition(ln, d, ambient))
+            axioms.append(_parse_decomposition(ln, d, ambient)[0])
         elif keyword == "expect":
-            raw = " ".join(t for t, _ in ln.tokens[ln.pos:])
-            bodies = re.findall(r"O(?:_[ED])?\(([^)]*)\)", raw)
-            if any(re.search(r"[hD]", body) for body in bodies):
-                display_basis = BASIS_hD
-            expected = _parse_decomposition(ln, d, ambient)
+            expected, hd = _parse_decomposition(ln, d, ambient)
+            hd_degree = d if hd else None
         elif keyword in RULES:
             rules.append(_parse_rule(keyword, ln))
         else:
@@ -246,16 +252,16 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
     if expected is None:
         raise ScriptSyntaxError(lines[-1].number, 1, "a final expect line")
     return ReplayScript(name, d, tuple(axioms), tuple(rules), expected,
-                        display_basis)
+                        hd_degree)
 
 
 def render_script(script: ReplayScript) -> str:
     """Canonical text of a script; parsing it back gives an equal structure."""
-    basis, d = script.display_basis, script.d
-    out = [f"ambient Y d={d}"]
-    out += [f"axiom {decomposition_text(a, basis, d)}" for a in script.axioms]
+    hd_degree = script.hd_degree
+    out = [f"ambient Y d={script.d}"]
+    out += [f"axiom {decomposition_text(a, hd_degree)}" for a in script.axioms]
     out += [r.text() for r in script.rules]
-    out.append(f"expect {decomposition_text(script.expected, basis, d)}")
+    out.append(f"expect {decomposition_text(script.expected, hd_degree)}")
     return "\n".join(out) + "\n"
 
 

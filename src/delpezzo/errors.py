@@ -71,9 +71,7 @@ class DegreeTooLarge(InputFault):
 
 # -- divisor classes ------------------------------------------------------
 
-class UnknownBasis(InputFault):
-    code = 20
-
+# code 20, an unknown basis name, is retired
 
 class OutOfRangeDegree(InputFault):
     code = 21

@@ -7,7 +7,8 @@ divisor of the line blow-up.  For degrees 4 and 5 the projection from the
 line gives a second coordinate system, {h, D} (pullback of the hyperplane
 from the projection image and the exceptional divisor of the blow-down to
 it); ``from_hd`` reads a class from those coordinates and ``rewrite``
-writes one into them.  The trilinear intersection form on {H, E} is
+writes one into them.  ``class_text`` writes a class in {h, D} when it is
+given a degree, in {H, E} otherwise.  The trilinear form on {H, E} is
 
     H^3 = d,  H^2.E = 0,  H.E^2 = -1,  E^3 = 0.
 
@@ -22,12 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoRelationsForDegree, OutOfRangeDegree, UnknownBasis
-
-BASIS_HE = "HE"
-BASIS_hD = "hD"
-
-_BASIS_SYMBOLS = {BASIS_HE: ("H", "E"), BASIS_hD: ("h", "D")}
+from .errors import NoRelationsForDegree, OutOfRangeDegree
 
 # Images of H and E in (h, D) coordinates, per degree.  Degree 6 has no
 # registered relations: the projection image there is a product surface
@@ -73,7 +69,7 @@ E = he(0, 1)
 def _relations(d: int) -> tuple[tuple[int, int], tuple[int, int]]:
     if d not in _H_E_IN_hD:
         raise NoRelationsForDegree(
-            f"no {BASIS_hD} relations registered for degree {d}")
+            f"no hD relations registered for degree {d}")
     return _H_E_IN_hD[d]
 
 
@@ -92,14 +88,13 @@ def from_hd(u: int, v: int, d: int) -> DivisorClass:
     return he((u * e1 - v * e0) * det, (v * h0 - u * h1) * det)
 
 
-def class_text(cls: DivisorClass, basis: str = BASIS_HE, d: int | None = None) -> str:
+def class_text(cls: DivisorClass, hd_degree: int | None = None) -> str:
     """Canonical text like '2H-E', 'D-2h', '-h' or '0' (positive terms
-    first), in {H, E} or, at degree d, in {h, D}."""
-    if basis not in _BASIS_SYMBOLS:
-        raise UnknownBasis(f"unknown basis {basis!r}")
-    coords = cls.coords if basis == BASIS_HE else rewrite(cls, d)
+    first): in {H, E}, or in {h, D} at degree hd_degree when one is given."""
+    symbols, coords = (("HE", cls.coords) if hd_degree is None
+                       else ("hD", rewrite(cls, hd_degree)))
     terms = []
-    for s, c in sorted(zip(_BASIS_SYMBOLS[basis], coords), key=lambda t: (t[1] < 0,)):
+    for s, c in sorted(zip(symbols, coords), key=lambda t: (t[1] < 0,)):
         if c == 0:
             continue
         mag = "" if abs(c) == 1 else str(abs(c))
@@ -119,18 +114,6 @@ class BlowupGeometry:
     def __post_init__(self):
         if self.d not in (4, 5, 6):
             raise OutOfRangeDegree(f"degree must be 4, 5 or 6, got {self.d}")
-
-    def divisor_generator(self, name: str) -> DivisorClass:
-        """Class of a named divisor (H, E, h or D) in {H, E} coordinates."""
-        if name == "H":
-            return H
-        if name == "E":
-            return E
-        if name == "h":
-            return from_hd(1, 0, self.d)
-        if name == "D":
-            return from_hd(0, 1, self.d)
-        raise UnknownBasis(f"unknown divisor name {name!r}")
 
 
 def triple(geom: BlowupGeometry, a: DivisorClass, b: DivisorClass,

@@ -42,8 +42,8 @@ from itertools import takewhile
 
 from .errors import (FinalMismatch, NoRelationsForDegree, PerfectnessUnknown,
                      PositionOutOfRange, SideConditionFailed, TailMismatch)
-from .intersection import (BASIS_HE, BlowupGeometry, DivisorClass,
-                           canonical_class, class_text, he, rewrite)
+from .intersection import (BlowupGeometry, DivisorClass, E, canonical_class,
+                           class_text, from_hd, he, rewrite)
 from .sod import (AXIOM, Decomposition, DISPLAY_NAMES, FactStore, LineBundle,
                   Opaque, PUSHFORWARD, RECORDED, SodNode, TwistedStructureSheaf,
                   decomposition_text, is_perfect, node_text,
@@ -89,7 +89,7 @@ class ReplayScript:
     axioms: tuple[Decomposition, ...]
     rules: tuple[MutationRule, ...]
     expected: Decomposition
-    display_basis: str = BASIS_HE
+    hd_degree: int | None = None   # writers show classes in {h, D} at this degree
 
     @property
     def ambient(self) -> str:
@@ -119,8 +119,7 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
         )
     if center != "C" or d not in (4, 5):
         return None
-    geom = BlowupGeometry(d)
-    h = geom.divisor_generator("h")
+    h = from_hd(1, 0, d)
     if d == 4:
         return (
             Opaque("DbC"),
@@ -131,7 +130,7 @@ def blowup_expansion(d: int, center: str) -> tuple[SodNode, ...] | None:
         )
     return (
         Opaque("A_C"),
-        TwistedStructureSheaf("D", geom.divisor_generator("D") - h),  # O_D(D-h)
+        TwistedStructureSheaf("D", from_hd(0, 1, d) - h),  # O_D(D-h)
         Opaque("A_Q"),
         LineBundle(-1 * h),
         LineBundle(he(0, 0)),
@@ -255,7 +254,7 @@ def _apply_triangle(nodes, rule, geom, store):
         raise SideConditionFailed("triangle_exchange",
                                   f"support must be E or D, got {support!r}")
     try:
-        s_class = geom.divisor_generator(support)
+        s_class = E if support == "E" else from_hd(0, 1, geom.d)
     except NoRelationsForDegree as exc:
         raise SideConditionFailed("triangle_exchange", str(exc)) from exc
     pair = nodes[i - 1:i + 1]

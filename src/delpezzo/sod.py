@@ -11,19 +11,20 @@ common line-bundle twist t).  No Ext group is ever computed from sheaf data.
 
 A node's value is its identity.  Every twistable node is O_S(A), S the
 whole space ("": a line bundle O(A)) or an exceptional divisor, E or D,
-and A an {H, E} class (``node_text`` can write it in {h, D}); an opaque
-node is its name, kept by mutations.  Twist closure is built into the fact
-keys: a twistable pair is stored by its supports and the difference of its
-classes, the invariant of a common twist.  Facts with an opaque member
-only match on the nose.  The store keeps each fact's nodes and renders
-text only when asked.
+and A an {H, E} class; an opaque node is its name, kept by mutations.
+``node_text`` and ``decomposition_text`` write classes in {H, E}, or in
+{h, D} when they are given a degree.  Twist closure is built into the
+fact keys: a twistable pair is stored by its supports and the difference
+of its classes, the invariant of a common twist.  Facts with an opaque
+member only match on the nose.  The store keeps each fact's nodes and
+renders text only when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intersection import BASIS_HE, DivisorClass, class_text
+from .intersection import DivisorClass, class_text
 
 # provenance tags for fact-store entries
 AXIOM = "axiom"
@@ -93,17 +94,17 @@ class Decomposition:
     nodes: tuple[SodNode, ...]
 
 
-def node_text(node: SodNode, basis: str = BASIS_HE, d: int | None = None) -> str:
-    """Parseable literal for a node, optionally written in {h, D} at degree d."""
+def node_text(node: SodNode, hd_degree: int | None = None) -> str:
+    """Parseable literal for a node, its class written in {h, D} at degree
+    hd_degree when one is given and in {H, E} otherwise."""
     if isinstance(node, Opaque):
         return f"CAT({node.name})"
     head = "O_" + node.support if node.support else "O"
-    return f"{head}({class_text(node.twist, basis, d)})"
+    return f"{head}({class_text(node.twist, hd_degree)})"
 
 
-def decomposition_text(dec: Decomposition, basis: str = BASIS_HE,
-                       d: int | None = None) -> str:
-    return "<" + ", ".join(node_text(n, basis, d) for n in dec.nodes) + ">"
+def decomposition_text(dec: Decomposition, hd_degree: int | None = None) -> str:
+    return "<" + ", ".join(node_text(n, hd_degree) for n in dec.nodes) + ">"
 
 
 def vanish_key(x: SodNode, y: SodNode):

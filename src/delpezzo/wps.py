@@ -59,9 +59,10 @@ from math import gcd, lcm, perm, prod
 from operator import add, mul, sub
 
 from . import lattice
-from .errors import (TOKEN_ECHO, DegreeTooLarge, InvalidNode, InvariantViolation,
-                     NegativeLDegree, NoSolution, NodalityFailed,
-                     NodeAtAmbientSingularity, UnsupportedChart, clip)
+from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
+                     InvariantViolation, NegativeLDegree, NoSolution,
+                     NodalityFailed, NodeAtAmbientSingularity, UnsupportedChart,
+                     clip)
 
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -136,6 +137,18 @@ def enumerate_monomials(space: WeightedSpace, degree: int) -> list[Mono]:
     return list(_monomials(space.weights, degree))
 
 
+def _clipped(n: int) -> str:
+    """n for a message, cut after TOKEN_ECHO characters.  Decimal writes it
+    also past Python's int-string limit, which an adjoint degree can pass."""
+    from decimal import Decimal
+    return clip(str(Decimal(n)), TOKEN_ECHO)
+
+
+def _on(weights: tuple[int, ...], degree: int) -> str:
+    """'<degree> on P<weights>' for a message, each part clipped."""
+    return f"{_clipped(degree)} on {clip(f'P{weights}', NAME_ECHO)}"
+
+
 @lru_cache(maxsize=64)
 def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
     """The search takes the variables heaviest first and solves for the
@@ -153,13 +166,13 @@ def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
         steps += 1
         if steps > budget:
             raise DegreeTooLarge(
-                f"listing the monomials of degree {degree} on P{weights} "
+                f"listing the monomials of degree {_on(weights, degree)} "
                 f"takes more than {budget:,} steps")
         if k == len(ws) - 1:
             if remaining % ws[k] == 0:
                 if len(found) == MAX_MONOMIALS:
                     raise DegreeTooLarge(
-                        f"degree {degree} on P{weights} has more than "
+                        f"degree {_on(weights, degree)} has more than "
                         f"{MAX_MONOMIALS:,} monomials")
                 found.append(prefix + (remaining // ws[k],))
             return
@@ -242,7 +255,7 @@ def _ambient_fault(space: WeightedSpace, degree: int, form):
             e = ":".join(str(int(j == i)) for j in range(len(space.weights)))
             return NodeAtAmbientSingularity(
                 f"the hypersurface passes through e{i} = ({e}), a singular point "
-                f"of P{space.weights}")
+                f"of {clip(f'P{space.weights}', NAME_ECHO)}")
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
@@ -378,7 +391,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     points = [_integral(space, p) for p in norm]
     monos = enumerate_monomials(space, degree)
     if not monos:
-        raise NoSolution(f"no monomials of degree {degree}")
+        raise NoSolution(f"no monomials of degree {_clipped(degree)}")
     values = [_node_values(space.weights, degree, q) for q in points]
     if norm:
         constraints = lattice.IntMatrix.from_rows(
@@ -432,7 +445,7 @@ def defect(x: NodalHypersurface) -> DefectReport:
     l_deg = adjoint_degree(x.ambient, x.degree)
     if l_deg < 0:
         raise NegativeLDegree(
-            f"adjoint twist has degree {l_deg}; formula does not apply")
+            f"adjoint twist has degree {_clipped(l_deg)}; formula does not apply")
     try:
         monos = enumerate_monomials(x.ambient, l_deg)
     except DegreeTooLarge as exc:

@@ -255,6 +255,27 @@ def test_defect_answers_a_skewed_degree_with_few_monomials(tmp_path):
     assert json.loads(proc.stderr)["error"]["name"] == "NodeAtAmbientSingularity"
 
 
+_NINES = "9" * 4300   # the longest integer a .hyp line can hold
+
+
+@pytest.mark.parametrize("body, name", [
+    ("weights 1 {s} {s}\ndegree 3\n".format(s="7" * 4000), "NodeAtAmbientSingularity"),
+    ("weights 1 1 1 1 1\ndegree {}\n".format("9" * 4000), "DegreeTooLarge"),
+    # the adjoint degrees 2 * 5997 * 10**4296 - 3 * 10**4296 - 1 and
+    # 2 * N - 15 * N - 1 have 4,301 and 4,302 digits, past Python's
+    # int-string limit
+    ("weights 1 3{z}\ndegree 5997{z}\n".format(z="0" * 4296), "DegreeTooLarge"),
+    (f"weights 1{f' {_NINES}' * 15}\ndegree {_NINES}\n", "NegativeLDegree"),
+], ids=["weights", "degree", "adjoint-degree", "negative-adjoint-degree"])
+def test_defect_clips_long_weights_and_degrees(tmp_path, body, name):
+    inst = tmp_path / "long.hyp"
+    inst.write_text(body)
+    proc = run_module("defect", str(inst), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error [{name}/")
+    assert len(proc.stderr.encode()) < 300
+
+
 def test_quiver_subcommand(capsys):
     code, out, _ = run(capsys, "quiver", "single-burban", "--json")
     assert code == 0

@@ -10,7 +10,7 @@ from delpezzo.dsl import (_parse_fraction, builtin_script_names, load_builtin_sc
                           render_instance, render_script)
 from delpezzo.errors import (InstanceFormatError, OutOfRangeDegree,
                              ScriptSyntaxError)
-from delpezzo.intersection import BASIS_hD, DivisorClass, class_text, from_hd, he
+from delpezzo.intersection import DivisorClass, class_text, from_hd, he
 from delpezzo.mutations import RULES, SLOT, MutationRule
 from delpezzo.quivers import Quiver, path_basis
 from delpezzo.sod import LineBundle, Opaque, TwistedStructureSheaf
@@ -30,11 +30,11 @@ def test_line_side_script_has_nine_rules():
 
 
 def test_parse_class_forms():
-    assert parse_class("2H-E") == ("HE", 2, -1)
-    assert parse_class("-h") == ("hD", -1, 0)
-    assert parse_class("D-2h") == ("hD", -2, 1)
-    assert parse_class("0") == ("HE", 0, 0)
-    assert parse_class("H+E") == ("HE", 1, 1)
+    assert parse_class("2H-E") == (False, 2, -1)
+    assert parse_class("-h") == (True, -1, 0)
+    assert parse_class("D-2h") == (True, -2, 1)
+    assert parse_class("0") == (False, 0, 0)
+    assert parse_class("H+E") == (False, 1, 1)
     with pytest.raises(ScriptSyntaxError):
         parse_class("H+q")
     with pytest.raises(ScriptSyntaxError):
@@ -55,7 +55,7 @@ def test_parse_node_forms():
 @given(st.sampled_from([4, 5]), st.integers(-9, 9), st.integers(-9, 9))
 def test_hd_literal_reads_back_the_written_class(d, a, b):
     c = DivisorClass((a, b))
-    assert parse_node(f"O({class_text(c, BASIS_hD, d)})", d) == LineBundle(c)
+    assert parse_node(f"O({class_text(c, d)})", d) == LineBundle(c)
 
 
 def test_misspelled_keyword_reports_position():
@@ -141,9 +141,9 @@ def test_every_rule_form_round_trips(rule):
     assert script.rules[0].text() == text
 
 
-def test_display_basis_detection():
-    assert load_builtin_script("prop-Y-to-W-4").display_basis == BASIS_hD
-    assert load_builtin_script("prop-Y-to-V").display_basis == "HE"
+def test_hd_degree_detection():
+    assert load_builtin_script("prop-Y-to-W-4").hd_degree == 4
+    assert load_builtin_script("prop-Y-to-V").hd_degree is None
 
 
 # (script, its canonical text): the expect line alone picks the writing

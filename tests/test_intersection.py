@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delpezzo.errors import (NoRelationsForDegree, OutOfRangeDegree,
-                             UnknownBasis)
-from delpezzo.intersection import (BASIS_HE, BASIS_hD, BlowupGeometry,
-                                   DivisorClass, E, H, canonical_class,
-                                   class_text, from_hd, he, iskovskikh_degree,
-                                   rewrite, triple)
+from delpezzo.errors import NoRelationsForDegree, OutOfRangeDegree
+from delpezzo.intersection import (BlowupGeometry, DivisorClass, E, H,
+                                   canonical_class, class_text, from_hd, he,
+                                   iskovskikh_degree, rewrite, triple)
 
 coords = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 degrees = st.sampled_from([4, 5])
@@ -92,18 +90,15 @@ def test_no_relations_for_degree_six(v):
         rewrite(DivisorClass(v), 6)
     with pytest.raises(NoRelationsForDegree):
         from_hd(*v, 6)
-    # writing a class in {H, E} never needs relations
-    assert class_text(H, BASIS_HE, 6) == "H"
-
-
-def test_unknown_basis():
-    with pytest.raises(UnknownBasis):
-        class_text(H, "XY", 4)
+    # writing a class in {H, E} never needs relations, in {h, D} it does
+    assert class_text(H) == "H"
+    with pytest.raises(NoRelationsForDegree):
+        class_text(DivisorClass(v), 6)
 
 
 def test_class_text():
     assert class_text(he(2, -1)) == "2H-E"
-    assert class_text(from_hd(-2, 1, 4), BASIS_hD, 4) == "D-2h"
+    assert class_text(from_hd(-2, 1, 4), 4) == "D-2h"
     assert class_text(he(0, 0)) == "0"
-    assert class_text(from_hd(-1, 0, 5), BASIS_hD, 5) == "-h"
+    assert class_text(from_hd(-1, 0, 5), 5) == "-h"
     assert class_text(he(1, 1)) == "H+E"

@@ -5,7 +5,7 @@ import pytest
 from delpezzo.dsl import builtin_script_names, load_builtin_script
 from delpezzo.errors import (FinalMismatch, PerfectnessUnknown,
                              SideConditionFailed, TailMismatch)
-from delpezzo.intersection import BlowupGeometry, he
+from delpezzo.intersection import BlowupGeometry, from_hd, he
 from delpezzo.mutations import (MutationRule, apply_rule, blowup_expansion,
                                 compare_and_solve, pushforward_vanishing,
                                 replay, ruling_fiber_degree)
@@ -143,7 +143,7 @@ def test_triangle_exchange_cycles_to_identity():
 
 def test_swap_on_empty_store_fails():
     store, geom = FactStore(), BlowupGeometry(5)
-    h = geom.divisor_generator("h")
+    h = from_hd(1, 0, 5)
     dec = Decomposition("Y5", (O(0, 0), LineBundle(h)))
     with pytest.raises(SideConditionFailed):
         apply_rule(dec, MutationRule("swap", 1), store, geom)
@@ -156,7 +156,7 @@ def test_pushforward_oracle():
     # difference H has fiber degree 0: the oracle stays silent
     assert not pushforward_vanishing(geom, he(1, 0), OE(2, 0))
     # the projection-side divisor works through the registered relations
-    d_sheaf = TwistedStructureSheaf("D", geom.divisor_generator("D"))
+    d_sheaf = TwistedStructureSheaf("D", from_hd(0, 1, 5))
     assert pushforward_vanishing(geom, he(0, 0), d_sheaf)
     # the same twists on the whole space: no ruling, so no answer
     for twist in (he(2, 0), d_sheaf.twist):
@@ -202,7 +202,7 @@ def test_final_mismatch_reports_positions():
                           script.expected.nodes[:1] + script.expected.nodes[:1]
                           + script.expected.nodes[2:])
     bad = type(script)(script.name, script.d, script.axioms, script.rules,
-                       wrong, script.display_basis)
+                       wrong, script.hd_degree)
     with pytest.raises(FinalMismatch) as err:
         replay(bad, store, geom)
     assert any("position 2" in d for d in err.value.diffs)

@@ -156,7 +156,7 @@ def test_tensor_and_node_text():
     assert node_text(n) == "O(E-H)"
     sheaf = tensor(TwistedStructureSheaf("E", he(0, 1)), he(2, -1))
     assert node_text(sheaf) == "O_E(2H)"
-    assert node_text(O(0, -1), basis="hD", d=4) == "O(D-2h)"
+    assert node_text(O(0, -1), 4) == "O(D-2h)"
     cat = tensor(standard_opaque("A_C"), he(1, 0))
     assert cat == standard_opaque("A_C")
 
