@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in (
     ("catalog", "DelPezzoEntry DegenerationCase enumerate_degenerations lookup "
                 "singularity_budget"),
     ("intersection", "BlowupGeometry DivisorClass canonical_class from_hd he "
-                     "iskovskikh_degree rewrite triple"),
+                     "rewrite triple"),
     ("ktheory", "ComponentModel GateVerdict KProfile consistency_check k_minus1_total "
                 "k0_total kawamata_gate standard_models"),
     ("lattice", "IntMatrix rank rational_nullspace"),

@@ -79,15 +79,15 @@ def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[bool, int, int]
     raise ScriptSyntaxError(line, col, "a class over one basis, {H,E} or {h,D}")
 
 
-def _read_class(hd: bool, a: int, b: int, d: int | None) -> DivisorClass:
+def _read_class(hd: bool, a: int, b: int, d: int) -> DivisorClass:
     return from_hd(a, b, d) if hd else he(a, b)
 
 
-def parse_node(token: str, d: int | None, line: int = 0, col: int = 0) -> SodNode:
+def parse_node(token: str, d: int, line: int = 0, col: int = 0) -> SodNode:
     return _read_node(token, d, line, col)[0]
 
 
-def _read_node(token: str, d: int | None, line: int, col: int) -> tuple[SodNode, bool]:
+def _read_node(token: str, d: int, line: int, col: int) -> tuple[SodNode, bool]:
     """A node literal, and whether its class is written in {h, D}."""
     m = _NODE_RE.match(token)
     if m is None:
@@ -98,8 +98,6 @@ def _read_node(token: str, d: int | None, line: int, col: int) -> tuple[SodNode,
             raise ScriptSyntaxError(line, col, "a category name")
         return Opaque(body), False
     hd, a, b = parse_class(body, line, col + len(head) + 1)
-    if hd and d is None:
-        raise ScriptSyntaxError(line, col, "an {H,E} class (no degree in scope)")
     try:
         cls = _read_class(hd, a, b, d)
     except NoRelationsForDegree as exc:
@@ -146,8 +144,7 @@ def _strip_comment(text: str) -> str:
     return text.split("#", 1)[0]
 
 
-def _parse_decomposition(ln: _Line, d: int | None,
-                         ambient: str) -> tuple[Decomposition, bool]:
+def _parse_decomposition(ln: _Line, d: int) -> tuple[Decomposition, bool]:
     """The literal that is the rest of the line, split on <, ',' and >, and
     whether one of its classes is written in {h, D}."""
     tok = ln.peek()
@@ -165,7 +162,7 @@ def _parse_decomposition(ln: _Line, d: int | None,
         lead = len(part) - len(part.lstrip())
         nodes.append(_read_node(part.strip(), d, ln.number, start + lead))
         start += len(part) + 1
-    return (Decomposition(ambient, tuple(node for node, _ in nodes)),
+    return (Decomposition(f"Y{d}", tuple(node for node, _ in nodes)),
             any(hd for _, hd in nodes))
 
 
@@ -223,7 +220,6 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
         BlowupGeometry(d)
     except OutOfRangeDegree as exc:
         raise OutOfRangeDegree(f"line {header.number}: {exc}") from None
-    ambient = f"Y{d}"
 
     axioms: list[Decomposition] = []
     rules: list[MutationRule] = []
@@ -238,9 +234,9 @@ def parse_script(text: str, name: str = "script") -> ReplayScript:
             if rules:
                 raise ScriptSyntaxError(ln.number, col,
                                         "axioms before the first rule")
-            axioms.append(_parse_decomposition(ln, d, ambient)[0])
+            axioms.append(_parse_decomposition(ln, d)[0])
         elif keyword == "expect":
-            expected, hd = _parse_decomposition(ln, d, ambient)
+            expected, hd = _parse_decomposition(ln, d)
             hd_degree = d if hd else None
         elif keyword in RULES:
             rules.append(_parse_rule(keyword, ln))

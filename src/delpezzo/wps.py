@@ -291,9 +291,10 @@ def _is_node(poly: Poly, gradient, second, q, values, p) -> bool:
     """The certificate at q, the integer point of the node p: raises unless
     the form and its gradient vanish, tells whether the Hessian is full."""
     if poly_eval(poly, q) != 0:
-        raise InvariantViolation(f"form does not vanish at {p}")
+        raise InvariantViolation(f"form does not vanish at {clip(str(p), NAME_ECHO)}")
     if any(sum(map(mul, vector, values[s])) for s, vector in gradient):
-        raise InvariantViolation(f"gradient does not vanish at {p}")
+        raise InvariantViolation(
+            f"gradient does not vanish at {clip(str(p), NAME_ECHO)}")
     return hessian_rank(second, q, values) == len(q) - 1
 
 
@@ -343,7 +344,8 @@ class NodalHypersurface:
         for p in norm:
             q = _integral(ambient, p)
             if not _is_node(poly, *jets, q, _node_values(ambient.weights, degree, q), p):
-                raise InvariantViolation(f"Hessian is degenerate at {p}")
+                raise InvariantViolation(
+                    f"Hessian is degenerate at {clip(str(p), NAME_ECHO)}")
         if fault := _ambient_fault(ambient, degree, form):
             raise fault
         return hyp

