@@ -12,13 +12,14 @@ row times last / d, d the previous pivot: every division is exact
 A stale row chosen as pivot is scaled by d / last from its pivot column on
 first, so pivots, last pivot and echelon rows are the dense pass's.
 ``rank`` runs this pass alone.  ``_back_substitute`` solves the echelon rows
-u bottom up for just the columns f a caller reads, ``y_r = (D * u[r][f] -
-sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` with p_s the pivot columns and D
-the last pivot; y_r is an integer minor (Cramer's rule), so the division is
-exact, and y_r / D is entry (r, f) of the reduced row echelon form.
-``rational_nullspace`` returns the integer basis D times the reduced form's
-kernel: D at the free column, each vector's last nonzero entry, and -y_r at
-pivot column p_r.  ``invert_rational`` reads the identity block of [A | I].
+u bottom up, ``y_r = (D * b_r - sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` for
+p_s the pivot columns, D the last pivot and b_r a right-hand side; for b_r =
+u[r][f], f a free column, y_r is an integer minor (Cramer's rule) and y_r / D
+entry (r, f) of the reduced row echelon form.  ``rational_nullspace`` returns
+a ``Kernel``, whose basis (D at the free column, its last nonzero entry, and
+-y_r at pivot column p_r) is solved on first read; ``mix`` solves one integer
+combination, b_r = sum_j c_j u[r][f_j], and ``zero_at`` reduces e_k instead.
+``invert_rational`` solves [A | I] for the identity block.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -100,12 +102,12 @@ def _forward(a: list[list[int]]) -> tuple[list[int], int]:
 
 
 def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
-                     cols: list[int]) -> list[list[int]]:
-    """y[r][j] = d * entry (r, cols[j]) of the reduced row echelon form."""
+                     rhs: list[list[int]]) -> list[list[int]]:
+    """y[r][j] = d * entry (r, j) of the reduced form of [echelon rows | rhs]."""
     y: list[list[int]] = []   # y[s - r - 1] is row s while row r is solved
     for r in reversed(range(len(pivots))):
         row = a[r]
-        acc = [d * row[f] for f in cols]
+        acc = [d * t for t in rhs[r]]
         for k, ys in zip([row[c] for c in pivots[r + 1:]], y):
             if k:
                 acc = [t - k * v for t, v in zip(acc, ys)]
@@ -117,27 +119,55 @@ def rank(m: IntMatrix) -> int:
     return len(_forward(m.to_rows())[0])
 
 
-def rational_nullspace(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Integer basis of the right kernel of m over the rationals.
+class Kernel:
+    """cols - rank(m) tuples of plain ints spanning m's kernel; D is ``d``."""
 
-    Returns cols - rank(m) independent vectors of plain ints, each
-    annihilated by m: D times the reduced row echelon form's kernel vector
-    for each free column f, so D sits at f, its last nonzero entry.  D is
-    the last pivot of ``_forward``, 1 when m has no rows (standard basis).
-    """
-    nc, rows = m.cols, m.to_rows()
-    pivots, d = _forward(rows)
-    d = int(d)   # a pivot never rewritten may be a bool
-    free = [c for c in range(nc) if c not in pivots]
-    y = _back_substitute(rows, pivots, d, free)
-    basis = []
-    for j, f in enumerate(free):
-        v = [0] * nc
-        v[f] = d
-        for r, pc in enumerate(pivots):
-            v[pc] = -y[r][j]
-        basis.append(tuple(v))
-    return basis
+    def __init__(self, m: IntMatrix):
+        self._rows, self._cols, self._basis = m.to_rows(), m.cols, None
+        self._pivots, d = _forward(self._rows)
+        self.d = int(d)   # a pivot never rewritten may be a bool
+        free = [c for c in range(m.cols) if c not in self._pivots]
+        self._at_free = [[row[f] for f in free] for row in self._rows[:len(self._pivots)]]
+        self._place = sorted(range(m.cols), key=(self._pivots + free).__getitem__)
+
+    def __len__(self) -> int:
+        return self._cols - len(self._pivots)
+
+    def __getitem__(self, i):   # iteration falls back to indexing
+        if self._basis is None:   # one batched back substitution
+            n = len(self)
+            self._basis = list(map(tuple, self._solve(
+                self._at_free, [[int(t == j) for t in range(n)] for j in range(n)])))
+        return self._basis[i]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+    def _solve(self, rhs, at_free) -> list[list[int]]:
+        """d * at_free[j] at the free columns, pivot entries solving rhs[r][j]."""
+        y = _back_substitute(self._rows, self._pivots, self.d, rhs)
+        return [[w[i] for i in self._place] for values, *solved in zip(at_free, *y)
+                for w in [[-t for t in solved] + [self.d * c for c in values]]]
+
+    def mix(self, coeffs: Sequence[int]) -> list[int]:
+        """sum_j coeffs[j] * self[j], from one back substitution."""
+        return self._solve([[sum(map(mul, coeffs, r))] for r in self._at_free], [coeffs])[0]
+
+    def zero_at(self, k: int) -> bool:
+        """Whether every kernel vector is 0 at column k, that is whether e_k
+        is in the row space: e_k is reduced down the echelon rows, each read
+        from its pivot c on, as ``_forward`` would reduce it as a last row."""
+        v, last = [int(j == k) for j in range(self._cols)], 1
+        for row, c in zip(self._rows, self._pivots):
+            if any(v[:c]):   # at a free column, which no later row clears
+                return False
+            if f := v[c]:
+                v[c:] = [(row[c] * x - f * u) // last for x, u in zip(v[c:], row[c:])]
+                last = row[c]
+        return not any(v)
+
+
+rational_nullspace = Kernel
 
 
 def invert_rational(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
@@ -150,5 +180,5 @@ def invert_rational(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fract
     pivots, d = _forward(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    y = _back_substitute(aug, pivots, d, list(range(n, 2 * n)))
+    y = _back_substitute(aug, pivots, d, [row[n:] for row in aug])
     return [[Fraction(x, d) for x in row] for row in y]

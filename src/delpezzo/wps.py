@@ -384,10 +384,10 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     would accept it (raising before any draw if every form passes through a
     point of Sing W).  The system is assembled at the nodes' integer
     representatives, which scales each row and leaves the kernel unchanged.
-    ``lattice.rational_nullspace`` returns the kernel scaled to integers by
-    one divisor D, the last Bareiss pivot, which sits at each vector's free
-    column; draws mix these integer vectors, and only the accepted draw is
-    divided by D.
+    ``lattice.rational_nullspace`` keeps the kernel's forward pass, scaled to
+    integers by one divisor D, the last Bareiss pivot; each draw is one back
+    substitution (``Kernel.mix``), the Sing W pre-check reduces only the power
+    columns (``zero_at``), and only the accepted draw is divided by D.
     """
     norm = _prepare_nodes(space, nodes)
     points = [_integral(space, p) for p in norm]
@@ -403,23 +403,23 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     kernel = lattice.rational_nullspace(constraints)
     if not kernel:
         raise NoSolution("node constraints force the zero form")
-    den = next(filter(None, reversed(kernel[0])))   # D, at the free column
-    columns = list(zip(*kernel))
-    if fault := _ambient_fault(space, degree, list(map(any, columns))):
+    support = {k: not kernel.zero_at(k)
+               for _, k in _derivatives(space.weights, degree)[3] if k is not None}
+    if fault := _ambient_fault(space, degree, support):
         raise fault
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
-        mix = [rng.randint(-9, 9) for _ in kernel]
+        mix = [rng.randint(-9, 9) for _ in range(len(kernel))]
         if not any(mix):
             continue
-        coeffs = [sum(map(mul, mix, col)) for col in columns]
+        coeffs = kernel.mix(mix)
         if not any(coeffs) or _ambient_fault(space, degree, coeffs):
             continue
         poly = _poly_from_vector(monos, coeffs)
         jets = _jets(space.weights, degree, coeffs)
         if all(_is_node(poly, *jets, *node) for node in zip(points, values, norm)):
             return NodalHypersurface(space, degree,
-                                     tuple(Fraction(c, den) for c in coeffs), norm)
+                                     tuple(Fraction(c, kernel.d) for c in coeffs), norm)
     raise NodalityFailed(
         f"no draw out of {MAX_TRIES} gave rank-{space.dim} Hessians at all "
         "nodes; choose different nodes")

@@ -348,6 +348,28 @@ def test_integer_builds_match_fraction_reference(space, degree, nodes, seed):
         fraction_defect(space.weights, degree, hyp.nodes)
 
 
+@pytest.mark.parametrize("seed,draws", [(0, 1), (4, 2)])
+def test_builder_solves_once_per_draw(monkeypatch, seed, draws):
+    # seed 4 rejects its first draw; iterating the kernel anywhere in the
+    # builder would add a back substitution with one column per kernel vector
+    from delpezzo import lattice
+    back_substitute, nullspace = lattice._back_substitute, lattice.rational_nullspace
+    solves, kernels = [], []
+
+    def counted(a, pivots, d, rhs):
+        solves.append({len(b) for b in rhs})   # right-hand sides per row
+        return back_substitute(a, pivots, d, rhs)
+    monkeypatch.setattr(lattice, "_back_substitute", counted)
+    monkeypatch.setattr(lattice, "rational_nullspace",
+                        lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    space, degree, nodes, _ = dsl.parse_instance((GOLDEN / "cubic-6n.hyp").read_text())
+    hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
+    assert solves == [{1}] * draws
+    assert defect(hyp).delta == 1
+    list(kernels[0])   # reading the basis is the one solve with a column per vector
+    assert solves[-1] == {len(kernels[0])} == {5}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([P4.weights, P11112.weights, P11123.weights]) | weight_lists,
        st.integers(1, 6),
