@@ -67,7 +67,8 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     cleared = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (mult // x.denominator) for x in row])
+        cleared.append([x.numerator * (mult // x.denominator) for x in row] if mult > 1
+                       else [x.numerator for x in row])
     return IntMatrix.from_rows(cleared)
 
 
@@ -151,12 +152,17 @@ class Kernel:
 
     def mix(self, coeffs: Sequence[int]) -> list[int]:
         """sum_j coeffs[j] * self[j], from one back substitution."""
+        if len(coeffs) != len(self):
+            raise ValueError(f"mix takes one coefficient per kernel vector: "
+                             f"expected {len(self)}, got {len(coeffs)}")
         return self._solve([[sum(map(mul, coeffs, r))] for r in self._at_free], [coeffs])[0]
 
     def zero_at(self, k: int) -> bool:
         """Whether every kernel vector is 0 at column k, that is whether e_k
         is in the row space: e_k is reduced down the echelon rows, each read
         from its pivot c on, as ``_forward`` would reduce it as a last row."""
+        if not 0 <= k < self._cols:
+            raise IndexError(f"column {k} out of range for {self._cols} columns")
         v, last = [int(j == k) for j in range(self._cols)], 1
         for row, c in zip(self._rows, self._pivots):
             if any(v[:c]):   # at a free column, which no later row clears

@@ -34,10 +34,12 @@ likewise cleared to integer coefficients.  One table per (weights, degree)
 gives each partial of each monomial as a factor and the lowered monomial's
 index: a form's partials are dense vectors, a node's monomial values one
 list per degree, and each partial at a node is one dot product; ``checked``
-and the builder's draws run one certificate per node.  The builder takes
-dim W + 1 constraint rows per node, one per first partial: in positive
-degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
-wherever the gradient does, so the value row is left out (degree 0 keeps it).
+and the builder's draws run one certificate per node.  A node's value of a
+degree-s monomial is q_i times one of degree s - w_i wherever the table has
+that degree (``_value_steps``).  The builder takes dim W + 1 constraint rows
+per node, one per first partial: in positive degree the Euler identity
+deg.f = sum_i w_i x_i f_i makes the value vanish wherever the gradient does,
+so the value row is left out (degree 0 keeps it).
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
 from . import lattice
 from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
@@ -67,6 +69,7 @@ from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
 Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebra
+_terms = attrgetter("numerator", "denominator")   # hashes faster than a Fraction
 
 MAX_TRIES = 64   # coefficient draws the builder makes before giving up
 MAX_MONOMIALS = 2_000   # largest monomial basis enumerate_monomials lists
@@ -123,6 +126,8 @@ class WeightedSpace:
             raise UnsupportedChart(
                 "point has no nonvanishing weight-1 coordinate")
         a, b = point[j].numerator, point[j].denominator
+        if a == b == 1:   # already in canonical form
+            return point
         return tuple(Fraction(c.numerator * b ** w, c.denominator * a ** w)
                      for w, c in zip(self.weights, point))
 
@@ -240,10 +245,26 @@ def _jets(weights: tuple[int, ...], degree: int, form):
             for s, column in (*first, *second.values())]
     return jets[:len(first)], dict(zip(second, jets[len(first):]))
 
+@lru_cache(maxsize=64)
+def _value_steps(weights: tuple[int, ...], degree: int):
+    """(s, steps) per degree s of the table, ascending; per degree-s monomial
+    m, step (i, t, k) is m = x_i times monomial k of degree t = s - w_i, the
+    first such t in the table, and (None, None, m) is m when there is none."""
+    index = {s: {m: k for k, m in enumerate(_monomials(weights, s))}
+             for s in _derivatives(weights, degree)[2]}
+    def step(s, m):
+        return next(((i, s - w, index[s - w][m[:i] + (m[i] - 1,) + m[i + 1:]])
+                     for i, w in enumerate(weights) if m[i] and s - w in index),
+                    (None, None, m))
+    return tuple((s, [step(s, m) for m in basis]) for s, basis in index.items())
+
 def _node_values(weights: tuple[int, ...], degree: int, q) -> dict[int, list]:
     """The values at q of the monomials of every degree in the table."""
-    return {s: [prod(map(pow, q, m)) for m in _monomials(weights, s)]
-            for s in _derivatives(weights, degree)[2]}
+    values: dict[int, list] = {}
+    for s, steps in _value_steps(weights, degree):
+        values[s] = [q[i] * values[t][k] if t is not None else prod(map(pow, q, k))
+                     for i, t, k in steps]
+    return values
 
 def _ambient_fault(space: WeightedSpace, degree: int, form):
     """NodeAtAmbientSingularity if the form passes through a coordinate point
@@ -353,7 +374,7 @@ class NodalHypersurface:
 
 def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
     norm = tuple(map(space.normalize, nodes))
-    if len(set(norm)) != len(norm):
+    if len({tuple(map(_terms, p)) for p in norm}) != len(norm):
         raise InvalidNode("nodes must be pairwise distinct")
     return norm
 
@@ -381,13 +402,13 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     Vanishing of the form and its gradient at each node is an exact linear
     system on the coefficients; a seeded pseudo-random element of its
     solution space is drawn and redrawn (MAX_TRIES draws) until ``checked``
-    would accept it (raising before any draw if every form passes through a
-    point of Sing W).  The system is assembled at the nodes' integer
+    would accept it.  The system is assembled at the nodes' integer
     representatives, which scales each row and leaves the kernel unchanged.
     ``lattice.rational_nullspace`` keeps the kernel's forward pass, scaled to
     integers by one divisor D, the last Bareiss pivot; each draw is one back
-    substitution (``Kernel.mix``), the Sing W pre-check reduces only the power
-    columns (``zero_at``), and only the accepted draw is divided by D.
+    substitution (``Kernel.mix``), and only the accepted draw is divided by D.
+    Sing W is checked only when a draw misses a power column or none is
+    accepted: ``zero_at`` then tells whether every kernel form passes through it.
     """
     norm = _prepare_nodes(space, nodes)
     points = [_integral(space, p) for p in norm]
@@ -403,10 +424,11 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     kernel = lattice.rational_nullspace(constraints)
     if not kernel:
         raise NoSolution("node constraints force the zero form")
-    support = {k: not kernel.zero_at(k)
-               for _, k in _derivatives(space.weights, degree)[3] if k is not None}
-    if fault := _ambient_fault(space, degree, support):
-        raise fault
+    def sing_w():   # raises if every form of the kernel passes through Sing W
+        support = {k: not kernel.zero_at(k)
+                   for _, k in _derivatives(space.weights, degree)[3] if k is not None}
+        if fault := _ambient_fault(space, degree, support):
+            raise fault
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
         mix = [rng.randint(-9, 9) for _ in range(len(kernel))]
@@ -414,12 +436,14 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
             continue
         coeffs = kernel.mix(mix)
         if not any(coeffs) or _ambient_fault(space, degree, coeffs):
+            sing_w()
             continue
         poly = _poly_from_vector(monos, coeffs)
         jets = _jets(space.weights, degree, coeffs)
         if all(_is_node(poly, *jets, *node) for node in zip(points, values, norm)):
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, kernel.d) for c in coeffs), norm)
+    sing_w()
     raise NodalityFailed(
         f"no draw out of {MAX_TRIES} gave rank-{space.dim} Hessians at all "
         "nodes; choose different nodes")

@@ -61,6 +61,13 @@ def test_from_rational_rows_preserves_rank():
     assert rank(m) == 2
 
 
+def test_from_rational_rows_keeps_integer_rows_as_plain_ints():
+    # a row whose lcm is 1 is taken as it is, a Fraction by its numerator
+    m = from_rational_rows([[Fraction(4, 2), -3, True], [Fraction(1, 2), 1, 0]])
+    assert m.entries == (2, -3, 1, 1, 2, 0)
+    assert all(type(x) is int for x in m.entries)
+
+
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
 def test_from_rows_rejects_non_integers(entry):
     with pytest.raises(ValueError):
@@ -260,3 +267,22 @@ def test_zero_at_keeps_a_free_column_left_of_a_pivot():
         [[3, 0, 1, 3, 0], [-2, -2, 0, -2, 1], [0, 0, 0, 3, 0]]))
     assert kernel.zero_at(0) is False
     assert kernel[0][0] != 0
+
+
+@pytest.mark.parametrize("k", [-1, 3, 7])
+def test_zero_at_refuses_a_column_out_of_range(k):
+    # a negative k used to index from the end, and a k past the last column
+    # reduced the zero vector: both answered True
+    kernel = rational_nullspace(IntMatrix.from_rows([[1, 1, 1]]))
+    with pytest.raises(IndexError, match=rf"column {k} out of range for 3 columns"):
+        kernel.zero_at(k)
+
+
+@pytest.mark.parametrize("coeffs", [[2, 5, 9], []])
+def test_mix_refuses_the_wrong_number_of_coefficients(coeffs):
+    # [2, 5, 9] used to lose two coefficients and [] to raise a bare IndexError
+    kernel = rational_nullspace(IntMatrix.from_rows([[1, 1]]))
+    assert len(kernel) == 1
+    with pytest.raises(ValueError, match=rf"one coefficient per kernel vector: "
+                                         rf"expected 1, got {len(coeffs)}$"):
+        kernel.mix(coeffs)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -13,10 +14,10 @@ from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
                              NegativeLDegree, NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
 from delpezzo.lattice import IntMatrix, rational_nullspace
-from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _node_constraint_rows,
-                          _node_values, adjoint_degree, apply_linear_change,
-                          build_nodal_hypersurface, defect, enumerate_monomials,
-                          hessian_rank, poly_eval, poly_partial)
+from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _monomials,
+                          _node_constraint_rows, _node_values, adjoint_degree,
+                          apply_linear_change, build_nodal_hypersurface, defect,
+                          enumerate_monomials, hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
                      fraction_build, fraction_defect, fraction_linear_change,
                      naive_constraint_rows, weighted_hessian_rank)
@@ -368,6 +369,97 @@ def test_builder_solves_once_per_draw(monkeypatch, seed, draws):
     assert defect(hyp).delta == 1
     list(kernels[0])   # reading the basis is the one solve with a column per vector
     assert solves[-1] == {len(kernels[0])} == {5}
+
+
+def _counting(monkeypatch, owner, name, calls):
+    """Wrap owner.name to append its arguments, after self, to calls."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda self, *args: calls.append(args) or original(self, *args))
+
+
+@pytest.mark.parametrize("name", ["cubic-6n.hyp", "quartic-rational.hyp",
+                                  "segre-cubic.hyp", "sextic-12n.hyp"])
+def test_builder_checks_sing_w_only_when_a_draw_misses_it(monkeypatch, name):
+    from delpezzo import lattice
+    reduced, draws = [], []
+    _counting(monkeypatch, lattice.Kernel, "zero_at", reduced)
+    _counting(monkeypatch, lattice.Kernel, "mix", draws)
+    space, degree, nodes, _ = dsl.parse_instance((GOLDEN / name).read_text())
+    if name != "sextic-12n.hyp":
+        build_nodal_hypersurface(space, degree, nodes)
+        assert reduced == []
+        return
+    # every kernel vector is 0 at x3^3, so the first draw misses it and the
+    # two power columns, x3^3 and x4^2, are reduced once
+    with pytest.raises(NodeAtAmbientSingularity,
+                       match=r"through e3 = \(0:0:0:1:0\), a singular point"):
+        build_nodal_hypersurface(space, degree, nodes)
+    assert len(draws) == 1
+    assert sorted(reduced) == [(0,), (1,)]
+
+
+def test_builder_redraws_when_a_draw_misses_a_power_column(monkeypatch):
+    # the kernel is nonzero at y^2, but the first draw is made to miss it:
+    # the power columns are reduced, nothing is raised and the next draw wins
+    from delpezzo import lattice
+    kernels, draws, reduced = [], [], []
+    nullspace, mix = lattice.rational_nullspace, lattice.Kernel.mix
+    monkeypatch.setattr(lattice, "rational_nullspace",
+                        lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    column = enumerate_monomials(P11112, 4).index((0, 0, 0, 0, 2))
+
+    def missing_first(self, coeffs):
+        draws.append(coeffs)
+        out = mix(self, coeffs)
+        if len(draws) == 1:
+            out[column] = 0
+        return out
+    monkeypatch.setattr(lattice.Kernel, "mix", missing_first)
+    _counting(monkeypatch, lattice.Kernel, "zero_at", reduced)
+    space, degree, nodes, _ = dsl.parse_instance(
+        (GOLDEN / "quartic-rational.hyp").read_text())
+    hyp = build_nodal_hypersurface(space, degree, nodes)
+    kernel = kernels[0]
+    assert not kernel.zero_at(column)
+    assert len(draws) == 2 and reduced[0] == (column,)
+    assert hyp.coefficients == tuple(Fraction(c, kernel.d)
+                                     for c in mix(kernel, draws[1]))
+    assert NodalHypersurface.checked(space, degree, hyp.coefficients, nodes) == hyp
+
+
+coordinates = st.integers(-5, 5) | small_fractions | st.just(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P4.weights, P11112.weights, P11123.weights]) | weight_lists,
+       st.integers(0, 8), st.data())
+def test_node_values_match_direct_power_products(weights, degree, data):
+    # each value is q_i times a value of a lower table degree where there is
+    # one; integer, rational and zero coordinates all give the direct product
+    weights = tuple(weights)
+    q = tuple(data.draw(st.lists(coordinates, min_size=len(weights),
+                                 max_size=len(weights))))
+    # the table's degrees: those of the first and second partials
+    degrees = {degree - a - b for a in (0, *weights) for b in weights}
+    assert _node_values(weights, degree, q) == \
+        {s: [prod(map(pow, q, m)) for m in brute_force_monomials(weights, s)]
+         for s in degrees}
+
+
+def test_node_values_of_a_huge_weight_stay_bounded():
+    # the table of degree 1000 * (10**9 + 7) on P(1, 10**9 + 7) spans degrees
+    # about 10**12 apart: the values visit the table's degrees, not a range
+    space = WeightedSpace((1, 1_000_000_007))
+    degree = 1000 * space.weights[1]
+    start = time.perf_counter()
+    for q in [(1, 0), (1, 1), (1, -1)]:
+        values = _node_values(space.weights, degree, q)
+        assert all(values[s] == [prod(map(pow, q, m)) for m in _monomials(space.weights, s)]
+                   for s in values)
+    report = defect(build_nodal_hypersurface(space, degree, [(1, 1)]))
+    assert (report.mu, report.h0_L, report.delta) == (1, 1999, 0)
+    assert time.perf_counter() - start < 10
 
 
 @settings(max_examples=60, deadline=None)
