@@ -24,12 +24,12 @@ combination, b_r = sum_j c_j u[r][f_j], and ``zero_at`` reduces e_k instead.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ class Kernel:
         return self._basis[i]
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, (Kernel, Sequence)):   # 5, None: not equal
+            return NotImplemented
         return list(self) == list(other)
 
     def _solve(self, rhs, at_free) -> list[list[int]]:

@@ -27,19 +27,21 @@ degree or ambient makes the builder, the certifier or the defect run unbounded.
 Internally the builder and the certifier run on integers.  A node is kept
 chart-normalized (chart coordinate 1, Fraction coordinates) and evaluated at
 its integer representative t.p, coordinate i times t**w_i for t the lcm of
-the denominators.  That scales the value of a form of degree d by t**d, a
-first partial d/dx_i by t**(d - w_i) and a second partial d2/dx_a dx_b by
-t**(d - w_a - w_b), so vanishing and ranks are unchanged.  Forms are
-likewise cleared to integer coefficients.  One table per (weights, degree)
-gives each partial of each monomial as a factor and the lowered monomial's
-index: a form's partials are dense vectors, a node's monomial values one
-list per degree, and each partial at a node is one dot product; ``checked``
-and the builder's draws run one certificate per node.  A node's value of a
-degree-s monomial is q_i times one of degree s - w_i wherever the table has
-that degree (``_value_steps``).  The builder takes dim W + 1 constraint rows
-per node, one per first partial: in positive degree the Euler identity
-deg.f = sum_i w_i x_i f_i makes the value vanish wherever the gradient does,
-so the value row is left out (degree 0 keeps it).
+the denominators (the numerators alone when t = 1).  That scales the value
+of a form of degree d by t**d, a first partial d/dx_i by t**(d - w_i) and a
+second partial d2/dx_a dx_b by t**(d - w_a - w_b), so vanishing and ranks
+are unchanged.  Forms are likewise cleared to integer coefficients.  One
+table per (weights, degree) gives each first partial of each monomial as a
+factor and the lowered monomial's index, and per partial the (position,
+factor) pairs of the monomials it keeps: a form's partials are dense vectors
+read off those, a node's monomial values one list per degree, each partial
+at a node one dot product, and the Hessian minor int rows for ``lattice``'s
+forward pass; ``checked`` and the builder's draws run one certificate per
+node.  A node's value of a degree-s monomial is q_i times one of degree
+s - w_i wherever the table has that degree (``_value_steps``).  The builder
+takes dim W + 1 constraint rows per node, one per first partial: in positive
+degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
+wherever the gradient does, so the value row is left out (degree 0 keeps it).
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -191,11 +193,12 @@ def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
 
 @lru_cache(maxsize=64)
 def _derivatives(weights: tuple[int, ...], degree: int):
-    """(first, second, degrees, powers): first[i] and second[a, b], a <= b,
-    are (s, column) for d/dx_i and d2/dx_a dx_b, s the partial's degree and
-    column per basis monomial e the integer factor the partial puts on e (0
-    if it kills e) and the lowered monomial's index in the degree-s basis;
-    degrees lists every s, powers (i, index of x_i**(degree/w_i) or None)."""
+    """(first, pairs, degrees, powers, kept): first[i] is (s, column) for
+    d/dx_i, s its degree and column per basis monomial e the integer factor
+    k it puts on e (0 if it kills e) and the lowered monomial's index in the
+    degree-s basis; kept is (s, (position, k) per e kept) per partial, first
+    then d2/dx_a dx_b for (a, b) in pairs, a <= b; degrees lists every s,
+    powers (i, index of x_i**(degree/w_i) or None)."""
     monos, n = _monomials(weights, degree), len(weights)
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
 
@@ -206,11 +209,13 @@ def _derivatives(weights: tuple[int, ...], degree: int):
                         for e in monos for k in [prod(map(perm, e, shift))])
 
     first = tuple(map(partial, unit))
-    second = {(a, b): partial(tuple(map(add, unit[a], unit[b])))
-              for a in range(n) for b in range(a, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    second = [partial(tuple(map(add, unit[a], unit[b]))) for a, b in pairs]
     powers = [(i, monos.index(tuple(degree // w * u for u in unit[i]))
                   if degree % w == 0 else None) for i, w in enumerate(weights) if w > 1]
-    return first, second, sorted({s for s, _ in (*first, *second.values())}), powers
+    kept = [(s, [(j, k) for j, (k, _) in enumerate(column) if k])
+            for s, column in (*first, *second)]
+    return first, pairs, sorted({s for s, _ in kept}), powers, kept
 
 
 # -- exact polynomial helpers ---------------------------------------------
@@ -221,7 +226,8 @@ def _poly_from_vector(monos: list[Mono], coeffs) -> Poly:
 def _integral(space: WeightedSpace, p: Point) -> tuple[int, ...]:
     """The integer representative t.p of a point: coordinate i times
     t**w_i, for t the lcm of the coordinates' denominators."""
-    t = lcm(*(c.denominator for c in p))
+    if (t := lcm(*(c.denominator for c in p))) == 1:
+        return tuple(c.numerator for c in p)
     return tuple(c.numerator * (t ** w // c.denominator)
                  for w, c in zip(space.weights, p))
 
@@ -239,11 +245,10 @@ def poly_partial(poly: Poly, i: int) -> Poly:
 
 def _jets(weights: tuple[int, ...], degree: int, form):
     """(gradient, Hessian) of a form, each partial as (s, its dense vector
-    over the degree-s basis, onto which the kept monomials map in order)."""
-    first, second, _, _ = _derivatives(weights, degree)
-    jets = [(s, [k * c for (k, _), c in zip(column, form) if k])
-            for s, column in (*first, *second.values())]
-    return jets[:len(first)], dict(zip(second, jets[len(first):]))
+    over the degree-s basis), k * form[j] per kept pair (j, k) in order."""
+    _, pairs, _, _, kept = _derivatives(weights, degree)
+    jets = [(s, [k * form[j] for j, k in column]) for s, column in kept]
+    return jets[:len(weights)], dict(zip(pairs, jets[len(weights):]))
 
 @lru_cache(maxsize=64)
 def _value_steps(weights: tuple[int, ...], degree: int):
@@ -295,7 +300,8 @@ def hessian_rank(second, point, values) -> int:
     so the row and column of a nonvanishing x_j depend on the others: the
     minor without the first one has the full rank.  Rescaling the point by
     t multiplies entry (a, b) by t**(deg - w_a - w_b), so any representative
-    gives the same rank."""
+    gives the same rank.  The minor's fresh integer rows go straight to
+    ``lattice``'s forward pass; rational rows are cleared of denominators first."""
     j = next((i for i, c in enumerate(point) if c), None)
     if j is None:
         raise InvalidNode("the zero tuple is not a point")
@@ -305,7 +311,9 @@ def hessian_rank(second, point, values) -> int:
         for c in range(r, len(others)):
             s, vector = second[a, others[c]]
             rows[r][c] = rows[c][r] = sum(map(mul, vector, values[s]))
-    return lattice.rank(lattice.from_rational_rows(rows))
+    if type(sum(map(sum, rows))) is not int:   # a Fraction entry
+        rows = lattice.from_rational_rows(rows).to_rows()
+    return len(lattice._forward(rows)[0])
 
 
 def _is_node(poly: Poly, gradient, second, q, values, p) -> bool:

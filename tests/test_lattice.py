@@ -39,6 +39,15 @@ def test_nullspace_of_bool_entries_is_plain_ints(rows, kernel):
     assert all(type(x) is int for v in basis for x in v)
 
 
+@pytest.mark.parametrize("other", [5, None, 2.5, object()])
+def test_kernel_is_unequal_to_a_value_that_is_not_a_sequence(other):
+    # the comparison falls back to identity instead of iterating other
+    kernel = rational_nullspace(IntMatrix.from_rows([[1, 1]]))
+    assert (kernel == other) is False and (kernel != other) is True
+    assert kernel == [(-1, 1)] and kernel != [(1, -1)]
+    assert kernel == rational_nullspace(IntMatrix(1, 2, (1, 1)))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_nullspace_random_rank3(seed):
     rng = random.Random(seed)

@@ -4,12 +4,13 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo import dsl
+from delpezzo import dsl, lattice
 from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
                              NegativeLDegree, NodeAtAmbientSingularity, ToolError,
                              UnsupportedChart)
@@ -538,6 +539,74 @@ def test_jets_match_the_sparse_partials(weights, degree, data):
         for j in range(n):
             assert at(second[min(i, j), max(i, j)]) == \
                 poly_eval(poly_partial(poly_partial(poly, i), j), q)
+
+    # each vector lists the partial's coefficients over the whole basis of
+    # its degree, in order
+    def coefficients(partial, s):
+        return s, [partial.get(m, 0) for m in brute_force_monomials(weights, s)]
+
+    assert gradient == [coefficients(poly_partial(poly, i), degree - weights[i])
+                        for i in range(n)]
+    assert second == {(a, b): coefficients(poly_partial(poly_partial(poly, a), b),
+                                           degree - weights[a] - weights[b])
+                      for a in range(n) for b in range(a, n)}
+
+
+def _poly_times(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(u + v for u, v in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P4.weights, P11112.weights, P11123.weights])
+       | weight_lists.map(lambda ws: (1, *ws)), st.data())
+def test_hessian_rank_at_singular_points_matches_the_full_hessian(weights, data):
+    # the y_i = x_i - a_i x_c**w_i vanish at q = (a_i t**w_i), q_c = t; the
+    # form sum_{k in S} b_k x_c**(d - 2 w_k) y_k**2 plus cubic terms in the y_i
+    # vanishes with its gradient at q, and its Hessian there has rank |S|
+    n = len(weights)
+    degree = 2 * max(weights) + data.draw(st.integers(0, 2))
+    c = data.draw(st.sampled_from([i for i, w in enumerate(weights) if w == 1]))
+    others = [i for i in range(n) if i != c]
+    t = data.draw(st.integers(1, 3))
+    a = {i: data.draw(st.integers(-2, 2)) for i in others}
+    q = tuple(t if i == c else a[i] * t ** weights[i] for i in range(n))
+
+    def unit(i, m=1):   # the exponent of x_i**m
+        return tuple(m * int(k == i) for k in range(n))
+
+    y = {i: {unit(i): 1, unit(c, weights[i]): -a[i]} for i in others}
+    squares = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=n - 1))
+    cubes = data.draw(st.lists(st.tuples(*[st.sampled_from(others)] * 3), max_size=3))
+    poly = {}
+    for term in [(k, k) for k in squares] + cubes:
+        rest = degree - sum(weights[i] for i in term)
+        if rest < 0:
+            continue
+        product, b = {unit(c, rest): 1}, data.draw(st.integers(1, 4) | st.integers(-4, -1))
+        for i in term:
+            product = _poly_times(product, y[i])
+        for e, v in product.items():
+            poly[e] = poly.get(e, 0) + b * v
+    poly = {e: v for e, v in poly.items() if v}
+    form = [poly.get(e, 0) for e in enumerate_monomials(WeightedSpace(weights), degree)]
+    gradient, second = _jets(weights, degree, form)
+    values = _node_values(weights, degree, q)
+    assert poly_eval(poly, q) == 0
+    assert not any(sum(map(mul, vector, values[s])) for s, vector in gradient)
+    # integer jets at an integer point: the rows go to the forward pass as built
+    with mock.patch.object(lattice, "from_rational_rows", side_effect=AssertionError):
+        rank = hessian_rank(second, q, values)
+    assert rank == weighted_hessian_rank(poly, q) == len(squares)
+    # rational jets at a rational representative are cleared first
+    u = data.draw(st.integers(2, 5))
+    p = tuple(Fraction(v, u ** w) for v, w in zip(q, weights))
+    _, thirds = _jets(weights, degree, [Fraction(v, 3) for v in form])
+    assert hessian_rank(thirds, p, _node_values(weights, degree, p)) == rank
 
 
 def test_hessian_rank_rejects_the_zero_tuple():
