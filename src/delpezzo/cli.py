@@ -44,6 +44,8 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
         key, _, value = item.partition("=")
         if key not in wanted:
             raise InstanceFormatError(f"unknown argument {echo(key)}")
+        if key in out:
+            raise InstanceFormatError(f"argument {key} given more than once")
         try:
             out[key] = int(value)
         except ValueError:

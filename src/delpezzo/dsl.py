@@ -59,6 +59,8 @@ def parse_class(text: str, line: int = 0, col: int = 0) -> tuple[bool, int, int]
     a*H + b*E, or a*h + b*D when hd is True."""
     col += len(text) - len(text.lstrip())
     text = text.strip()
+    if not text:
+        raise ScriptSyntaxError(line, col, "a class like H-E, -h or 0")
     if text in ("0", "-0", "+0"):
         return False, 0, 0
     pos = 0
@@ -301,16 +303,22 @@ def _parse_int(tok: str, line: int) -> int:
 
 
 def parse_instance(text: str):
-    """Parse a .hyp file into (space, degree, nodes, coefficients or None)."""
+    """Parse a .hyp file into (space, degree, nodes, coefficients or None).
+    A second weights, degree or coeffs line is a format error naming its line."""
     from .wps import WeightedSpace, enumerate_monomials
     space = degree = None
     nodes: list[tuple[Fraction, ...]] = []
     coeffs: list[Fraction] | None = None
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = _strip_comment(raw).split()
         if not parts:
             continue
         key, rest = parts[0], parts[1:]
+        if key in seen:
+            raise InstanceFormatError(f"line {lineno}: duplicate {key} line")
+        if key != "node":
+            seen.add(key)
         if key == "weights":
             weights = tuple(_parse_int(w, lineno) for w in rest)
             try:

@@ -18,7 +18,7 @@ u[r][f], f a free column, y_r is an integer minor (Cramer's rule) and y_r / D
 entry (r, f) of the reduced row echelon form.  ``rational_nullspace`` returns
 a ``Kernel``, whose basis (D at the free column, its last nonzero entry, and
 -y_r at pivot column p_r) is solved on first read; ``mix`` solves one integer
-combination, b_r = sum_j c_j u[r][f_j], and ``zero_at`` reduces e_k instead.
+combination, b_r = sum_j c_j u[r][f_j].
 ``invert_rational`` solves [A | I] for the identity block.
 """
 
@@ -158,21 +158,6 @@ class Kernel:
             raise ValueError(f"mix takes one coefficient per kernel vector: "
                              f"expected {len(self)}, got {len(coeffs)}")
         return self._solve([[sum(map(mul, coeffs, r))] for r in self._at_free], [coeffs])[0]
-
-    def zero_at(self, k: int) -> bool:
-        """Whether every kernel vector is 0 at column k, that is whether e_k
-        is in the row space: e_k is reduced down the echelon rows, each read
-        from its pivot c on, as ``_forward`` would reduce it as a last row."""
-        if not 0 <= k < self._cols:
-            raise IndexError(f"column {k} out of range for {self._cols} columns")
-        v, last = [int(j == k) for j in range(self._cols)], 1
-        for row, c in zip(self._rows, self._pivots):
-            if any(v[:c]):   # at a free column, which no later row clears
-                return False
-            if f := v[c]:
-                v[c:] = [(row[c] * x - f * u) // last for x, u in zip(v[c:], row[c:])]
-                last = row[c]
-        return not any(v)
 
 
 rational_nullspace = Kernel

@@ -31,14 +31,15 @@ the denominators (the numerators alone when t = 1).  That scales the value
 of a form of degree d by t**d, a first partial d/dx_i by t**(d - w_i) and a
 second partial d2/dx_a dx_b by t**(d - w_a - w_b), so vanishing and ranks
 are unchanged.  Forms are likewise cleared to integer coefficients.  One
-table per (weights, degree) gives each first partial of each monomial as a
-factor and the lowered monomial's index, and per partial the (position,
-factor) pairs of the monomials it keeps: a form's partials are dense vectors
-read off those, a node's monomial values one list per degree, each partial
-at a node one dot product, and the Hessian minor int rows for ``lattice``'s
-forward pass; ``checked`` and the builder's draws run one certificate per
-node.  A node's value of a degree-s monomial is q_i times one of degree
-s - w_i wherever the table has that degree (``_value_steps``).  The builder
+table per (weights, degree), ``_derivatives``, gives per partial the
+(position, factor) pairs of the monomials it keeps, whose lowered monomials
+fall in order onto the basis of the partial's degree s, and per degree-s
+monomial a step down: a node's value of it is q_i times one of degree
+s - w_i wherever the table has that degree.  So a form's partials are dense
+vectors read off the pairs, a node's monomial values one list per degree,
+each partial at a node one dot product and one constraint row, and the
+Hessian minor int rows for ``lattice``'s forward pass; ``checked`` and the
+builder's draws run one certificate per node.  The builder
 takes dim W + 1 constraint rows per node, one per first partial: in positive
 degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
 wherever the gradient does, so the value row is left out (degree 0 keeps it).
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm, prod
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul
 
 from . import lattice
 from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
@@ -193,29 +194,31 @@ def _monomials(weights: tuple[int, ...], degree: int) -> tuple[Mono, ...]:
 
 @lru_cache(maxsize=64)
 def _derivatives(weights: tuple[int, ...], degree: int):
-    """(first, pairs, degrees, powers, kept): first[i] is (s, column) for
-    d/dx_i, s its degree and column per basis monomial e the integer factor
-    k it puts on e (0 if it kills e) and the lowered monomial's index in the
-    degree-s basis; kept is (s, (position, k) per e kept) per partial, first
-    then d2/dx_a dx_b for (a, b) in pairs, a <= b; degrees lists every s,
-    powers (i, index of x_i**(degree/w_i) or None)."""
+    """(pairs, powers, kept, steps), the one table per (weights, degree).
+    kept is (s, (position, k) per basis monomial e kept) per partial, d/dx_i
+    first, then d2/dx_a dx_b for (a, b) in pairs, a <= b: s is the partial's
+    degree, k the integer factor it puts on e, and the lowered monomials of
+    the kept e fall in order onto the degree-s basis.  powers is (i, index of
+    x_i**(degree/w_i) or None) per w_i > 1.  steps is (s, steps) per degree s
+    of kept, ascending; per degree-s monomial m, step (i, t, k) is m = x_i
+    times monomial k of degree t = s - w_i, the first such t in the table,
+    and (None, None, m) is m when there is none."""
     monos, n = _monomials(weights, degree), len(weights)
     unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-
-    def partial(shift):
-        s = degree - sum(map(mul, shift, weights))
-        index = {m: k for k, m in enumerate(_monomials(weights, s))}
-        return s, tuple((k, index[tuple(map(sub, e, shift))]) if k else (0, 0)
-                        for e in monos for k in [prod(map(perm, e, shift))])
-
-    first = tuple(map(partial, unit))
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    second = [partial(tuple(map(add, unit[a], unit[b]))) for a, b in pairs]
+    kept = [(degree - sum(map(mul, shift, weights)),
+             [(j, k) for j, e in enumerate(monos) for k in [prod(map(perm, e, shift))] if k])
+            for shift in unit + [tuple(map(add, unit[a], unit[b])) for a, b in pairs]]
     powers = [(i, monos.index(tuple(degree // w * u for u in unit[i]))
                   if degree % w == 0 else None) for i, w in enumerate(weights) if w > 1]
-    kept = [(s, [(j, k) for j, (k, _) in enumerate(column) if k])
-            for s, column in (*first, *second)]
-    return first, pairs, sorted({s for s, _ in kept}), powers, kept
+    index = {s: {m: k for k, m in enumerate(_monomials(weights, s))}
+             for s in sorted({s for s, _ in kept})}
+    def step(s, m):
+        return next(((i, s - w, index[s - w][m[:i] + (m[i] - 1,) + m[i + 1:]])
+                     for i, w in enumerate(weights) if m[i] and s - w in index),
+                    (None, None, m))
+    steps = [(s, [step(s, m) for m in basis]) for s, basis in index.items()]
+    return pairs, powers, kept, steps
 
 
 # -- exact polynomial helpers ---------------------------------------------
@@ -246,27 +249,15 @@ def poly_partial(poly: Poly, i: int) -> Poly:
 def _jets(weights: tuple[int, ...], degree: int, form):
     """(gradient, Hessian) of a form, each partial as (s, its dense vector
     over the degree-s basis), k * form[j] per kept pair (j, k) in order."""
-    _, pairs, _, _, kept = _derivatives(weights, degree)
+    pairs, _, kept, _ = _derivatives(weights, degree)
     jets = [(s, [k * form[j] for j, k in column]) for s, column in kept]
     return jets[:len(weights)], dict(zip(pairs, jets[len(weights):]))
 
-@lru_cache(maxsize=64)
-def _value_steps(weights: tuple[int, ...], degree: int):
-    """(s, steps) per degree s of the table, ascending; per degree-s monomial
-    m, step (i, t, k) is m = x_i times monomial k of degree t = s - w_i, the
-    first such t in the table, and (None, None, m) is m when there is none."""
-    index = {s: {m: k for k, m in enumerate(_monomials(weights, s))}
-             for s in _derivatives(weights, degree)[2]}
-    def step(s, m):
-        return next(((i, s - w, index[s - w][m[:i] + (m[i] - 1,) + m[i + 1:]])
-                     for i, w in enumerate(weights) if m[i] and s - w in index),
-                    (None, None, m))
-    return tuple((s, [step(s, m) for m in basis]) for s, basis in index.items())
-
 def _node_values(weights: tuple[int, ...], degree: int, q) -> dict[int, list]:
     """The values at q of the monomials of every degree in the table."""
+    *_, value_steps = _derivatives(weights, degree)
     values: dict[int, list] = {}
-    for s, steps in _value_steps(weights, degree):
+    for s, steps in value_steps:
         values[s] = [q[i] * values[t][k] if t is not None else prod(map(pow, q, k))
                      for i, t, k in steps]
     return values
@@ -276,7 +267,8 @@ def _ambient_fault(space: WeightedSpace, degree: int, form):
     e_i with w_i > 1, where x_i**(degree/w_i) alone is nonzero, else None.
     These are all of Sing W on P^4, P(1,1,1,1,2) and P(1,1,1,2,3), but only
     part of it where two weights share a factor and Sing W has curves."""
-    for i, k in _derivatives(space.weights, degree)[3]:
+    _, powers, _, _ = _derivatives(space.weights, degree)
+    for i, k in powers:
         if k is None or not form[k]:
             e = ":".join(str(int(j == i)) for j in range(len(space.weights)))
             return NodeAtAmbientSingularity(
@@ -390,16 +382,21 @@ def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
 def _node_constraint_rows(weights: tuple[int, ...], degree: int,
                           values: list[dict[int, list]]) -> list[list[int]]:
     """First-partial rows of the monomials at points given by their
-    ``_node_values``, and value rows in degree 0 only: for degree > 0 the
+    ``_node_values``, each written from the partial's kept (position,
+    factor) pairs, and value rows in degree 0 only: for degree > 0 the
     Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in
     the span of the partial rows, so dropping it leaves the row space the same."""
-    first = _derivatives(weights, degree)[0]
+    _, _, kept, _ = _derivatives(weights, degree)
+    width = len(_monomials(weights, degree))
     rows = []
     for vals in values:
         if degree == 0:
             rows.append([1])   # the value of the one monomial, the constant
-        rows += [[k * v[j] if k else 0 for k, j in column]
-                 for s, column in first for v in [vals[s]]]
+        for s, column in kept[:len(weights)]:
+            row = [0] * width
+            for (j, k), v in zip(column, vals[s]):
+                row[j] = k * v
+            rows.append(row)
     return rows
 
 
@@ -416,7 +413,8 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     integers by one divisor D, the last Bareiss pivot; each draw is one back
     substitution (``Kernel.mix``), and only the accepted draw is divided by D.
     Sing W is checked only when a draw misses a power column or none is
-    accepted: ``zero_at`` then tells whether every kernel form passes through it.
+    accepted: the kernel's basis, solved then, tells whether every kernel
+    form passes through it.
     """
     norm = _prepare_nodes(space, nodes)
     points = [_integral(space, p) for p in norm]
@@ -432,9 +430,9 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     kernel = lattice.rational_nullspace(constraints)
     if not kernel:
         raise NoSolution("node constraints force the zero form")
+    _, powers, _, _ = _derivatives(space.weights, degree)
     def sing_w():   # raises if every form of the kernel passes through Sing W
-        support = {k: not kernel.zero_at(k)
-                   for _, k in _derivatives(space.weights, degree)[3] if k is not None}
+        support = {k: any(v[k] for v in kernel) for _, k in powers if k is not None}
         if fault := _ambient_fault(space, degree, support):
             raise fault
     rng = random.Random(seed)

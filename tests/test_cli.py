@@ -138,6 +138,23 @@ def test_intersect_rejects_wrong_degree(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["gate", "d=5", "d=3", "nodes=1"], "d"),
+    (["intersect", "d=4", "d=5", "H^3"], "d"),
+    (["degenerations", "d=5", "nodes=1", "nodes=2"], "nodes"),
+], ids=["gate", "intersect", "degenerations"])
+def test_a_repeated_argument_is_refused(capsys, argv, key):
+    # the last value used to win silently
+    assert run(capsys, *argv) == (
+        2, "", f"error [InstanceFormatError/71]: argument {key} given more than once\n")
+
+
+def test_intersect_refuses_an_empty_class(capsys):
+    # '()' used to read as the class 0
+    assert run(capsys, "intersect", "d=5", "()^3") == (
+        2, "", "error [InstanceFormatError/71]: col 2: expected a class like H-E, -h or 0\n")
+
+
 def test_defect_subcommand(tmp_path, capsys):
     hyp = build_nodal_hypersurface(WeightedSpace((1, 1, 1, 1, 1)), 3,
                                    [(0, 0, 0, 0, 1)])

@@ -39,6 +39,11 @@ def test_parse_class_forms():
         parse_class("H+q")
     with pytest.raises(ScriptSyntaxError):
         parse_class("H+h")
+    # an empty class is refused at its column, not read as 0
+    for text, col in [("", 3), ("  ", 5)]:
+        with pytest.raises(ScriptSyntaxError) as info:
+            parse_class(text, 2, 3)
+        assert (info.value.line, info.value.col) == (2, col)
 
 
 def test_parse_node_forms():
@@ -185,6 +190,15 @@ def test_instance_errors():
         parse_instance("weights 1 1\ndegree 1\ncoeffs 1\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("weights 1 1\ndegree 1\nnode 1 1/0\n")
+    # a second header line used to replace the first; node lines may repeat
+    for text, where in [
+        ("weights 1 1 1 1 2\ndegree 4\nweights 1 1 1 1 1\n", "line 3: duplicate weights"),
+        ("weights 1 1\ndegree 1\n# again\ndegree 2\n", "line 4: duplicate degree"),
+        ("weights 1 1\ndegree 1\ncoeffs 1 1\nnode 1 0\nnode 1 1\ncoeffs 1 2\n",
+         "line 6: duplicate coeffs"),
+    ]:
+        with pytest.raises(InstanceFormatError, match=rf"^{where} line$"):
+            parse_instance(text)
 
 
 def test_parse_quiver_file():

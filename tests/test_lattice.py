@@ -236,13 +236,11 @@ def test_rank_matches_sympy(case):
     assert rank(_int_matrix(rows, nc)) == expected
 
 
-# -- the lazy kernel: one solve per combination, support without solving -----
+# -- the lazy kernel: one solve per combination, one for the basis ------------
 
 def assert_lazy_kernel(kernel, nc, coeffs):
     assert kernel.mix(coeffs) == [sum(c * v[i] for c, v in zip(coeffs, kernel))
                                   for i in range(nc)]
-    assert [kernel.zero_at(k) for k in range(nc)] == \
-        [not any(v[k] for v in kernel) for k in range(nc)]
     assert kernel == list(kernel)
     assert (kernel == []) == (len(kernel) == 0) == (not kernel)
 
@@ -250,7 +248,7 @@ def assert_lazy_kernel(kernel, nc, coeffs):
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints)
        | sparse_rows(st.booleans()) | random_rows(st.booleans()), st.data())
-def test_mix_and_zero_at_match_the_basis(case, data):
+def test_mix_matches_the_basis(case, data):
     rows, nc = case
     kernel = rational_nullspace(_int_matrix(rows, nc))
     coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=len(kernel),
@@ -266,25 +264,6 @@ def test_mix_and_zero_at_match_the_basis(case, data):
 def test_lazy_kernel_edge_cases(rows, nc):
     kernel = rational_nullspace(_int_matrix(rows, nc))
     assert_lazy_kernel(kernel, nc, list(range(2, 2 + len(kernel))))
-
-
-def test_zero_at_keeps_a_free_column_left_of_a_pivot():
-    # e_0 reduced by the first row leaves -1 at free column 2, left of the
-    # pivot at column 3: clearing it would call column 0 zero, yet the
-    # first kernel vector is 6 there
-    kernel = rational_nullspace(IntMatrix.from_rows(
-        [[3, 0, 1, 3, 0], [-2, -2, 0, -2, 1], [0, 0, 0, 3, 0]]))
-    assert kernel.zero_at(0) is False
-    assert kernel[0][0] != 0
-
-
-@pytest.mark.parametrize("k", [-1, 3, 7])
-def test_zero_at_refuses_a_column_out_of_range(k):
-    # a negative k used to index from the end, and a k past the last column
-    # reduced the zero vector: both answered True
-    kernel = rational_nullspace(IntMatrix.from_rows([[1, 1, 1]]))
-    with pytest.raises(IndexError, match=rf"column {k} out of range for 3 columns"):
-        kernel.zero_at(k)
 
 
 @pytest.mark.parametrize("coeffs", [[2, 5, 9], []])

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from delpezzo import dsl, lattice
 from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
-                             NegativeLDegree, NodeAtAmbientSingularity, ToolError,
-                             UnsupportedChart)
+                             NegativeLDegree, NodalityFailed, NodeAtAmbientSingularity,
+                             NoSolution, ToolError, UnsupportedChart)
 from delpezzo.lattice import IntMatrix, rational_nullspace
 from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _monomials,
                           _node_constraint_rows, _node_values, adjoint_degree,
@@ -21,7 +21,7 @@ from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _monomials,
                           enumerate_monomials, hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
                      fraction_build, fraction_defect, fraction_linear_change,
-                     naive_constraint_rows, weighted_hessian_rank)
+                     fraction_nullspace, naive_constraint_rows, weighted_hessian_rank)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
@@ -350,20 +350,28 @@ def test_integer_builds_match_fraction_reference(space, degree, nodes, seed):
         fraction_defect(space.weights, degree, hyp.nodes)
 
 
-@pytest.mark.parametrize("seed,draws", [(0, 1), (4, 2)])
-def test_builder_solves_once_per_draw(monkeypatch, seed, draws):
-    # seed 4 rejects its first draw; iterating the kernel anywhere in the
-    # builder would add a back substitution with one column per kernel vector
+def _recording_solves(monkeypatch):
+    """(solves, kernels): per back substitution the set of its right-hand
+    sides' lengths, 1 for a draw and len(kernel) for a read of the basis,
+    and every kernel that rational_nullspace returns."""
     from delpezzo import lattice
     back_substitute, nullspace = lattice._back_substitute, lattice.rational_nullspace
     solves, kernels = [], []
 
     def counted(a, pivots, d, rhs):
-        solves.append({len(b) for b in rhs})   # right-hand sides per row
+        solves.append({len(b) for b in rhs})
         return back_substitute(a, pivots, d, rhs)
     monkeypatch.setattr(lattice, "_back_substitute", counted)
     monkeypatch.setattr(lattice, "rational_nullspace",
                         lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    return solves, kernels
+
+
+@pytest.mark.parametrize("seed,draws", [(0, 1), (4, 2)])
+def test_builder_solves_once_per_draw(monkeypatch, seed, draws):
+    # seed 4 rejects its first draw; iterating the kernel anywhere in the
+    # builder would add a back substitution with one column per kernel vector
+    solves, kernels = _recording_solves(monkeypatch)
     space, degree, nodes, _ = dsl.parse_instance((GOLDEN / "cubic-6n.hyp").read_text())
     hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
     assert solves == [{1}] * draws
@@ -382,32 +390,32 @@ def _counting(monkeypatch, owner, name, calls):
 @pytest.mark.parametrize("name", ["cubic-6n.hyp", "quartic-rational.hyp",
                                   "segre-cubic.hyp", "sextic-12n.hyp"])
 def test_builder_checks_sing_w_only_when_a_draw_misses_it(monkeypatch, name):
+    # a draw is one solve with one column; the basis is read by one solve
+    # with a column per kernel vector, only when a draw misses Sing W
     from delpezzo import lattice
-    reduced, draws = [], []
-    _counting(monkeypatch, lattice.Kernel, "zero_at", reduced)
+    solves, kernels = _recording_solves(monkeypatch)
+    draws = []
     _counting(monkeypatch, lattice.Kernel, "mix", draws)
     space, degree, nodes, _ = dsl.parse_instance((GOLDEN / name).read_text())
     if name != "sextic-12n.hyp":
         build_nodal_hypersurface(space, degree, nodes)
-        assert reduced == []
+        assert solves == [{1}] * len(draws)
         return
     # every kernel vector is 0 at x3^3, so the first draw misses it and the
-    # two power columns, x3^3 and x4^2, are reduced once
+    # basis is read once for both power columns, x3^3 and x4^2
     with pytest.raises(NodeAtAmbientSingularity,
                        match=r"through e3 = \(0:0:0:1:0\), a singular point"):
         build_nodal_hypersurface(space, degree, nodes)
     assert len(draws) == 1
-    assert sorted(reduced) == [(0,), (1,)]
+    assert solves == [{1}, {len(kernels[0])}] == [{1}, {4}]
 
 
 def test_builder_redraws_when_a_draw_misses_a_power_column(monkeypatch):
     # the kernel is nonzero at y^2, but the first draw is made to miss it:
-    # the power columns are reduced, nothing is raised and the next draw wins
+    # the basis is read, nothing is raised and the next draw wins
     from delpezzo import lattice
-    kernels, draws, reduced = [], [], []
-    nullspace, mix = lattice.rational_nullspace, lattice.Kernel.mix
-    monkeypatch.setattr(lattice, "rational_nullspace",
-                        lambda m: kernels.append(nullspace(m)) or kernels[-1])
+    solves, kernels = _recording_solves(monkeypatch)
+    draws, mix = [], lattice.Kernel.mix
     column = enumerate_monomials(P11112, 4).index((0, 0, 0, 0, 2))
 
     def missing_first(self, coeffs):
@@ -417,16 +425,44 @@ def test_builder_redraws_when_a_draw_misses_a_power_column(monkeypatch):
             out[column] = 0
         return out
     monkeypatch.setattr(lattice.Kernel, "mix", missing_first)
-    _counting(monkeypatch, lattice.Kernel, "zero_at", reduced)
     space, degree, nodes, _ = dsl.parse_instance(
         (GOLDEN / "quartic-rational.hyp").read_text())
     hyp = build_nodal_hypersurface(space, degree, nodes)
     kernel = kernels[0]
-    assert not kernel.zero_at(column)
-    assert len(draws) == 2 and reduced[0] == (column,)
+    assert len(draws) == 2 and solves == [{1}, {len(kernel)}, {1}]
+    assert any(v[column] for v in kernel)
     assert hyp.coefficients == tuple(Fraction(c, kernel.d)
                                      for c in mix(kernel, draws[1]))
     assert NodalHypersurface.checked(space, degree, hyp.coefficients, nodes) == hyp
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(P11112, 4), (P11123, 6)]),
+       st.lists(st.tuples(st.just(1), *[st.integers(-1, 1)] * 4),
+                min_size=1, max_size=12, unique=True))
+def test_builder_refuses_sing_w_exactly_where_the_kernel_vanishes(case, nodes):
+    # every form through the nodes passes through e_i exactly when the
+    # reference kernel over Fraction is zero at x_i's power column; the
+    # builder names the first such e_i and otherwise refuses through none
+    space, degree = case
+    monos = enumerate_monomials(space, degree)
+    kernel = fraction_nullspace(naive_constraint_rows(monos, nodes, degree), len(monos))
+    if not kernel:
+        with pytest.raises(NoSolution):
+            build_nodal_hypersurface(space, degree, nodes)
+        return
+    missed = [i for i, w in enumerate(space.weights) if w > 1 and not any(
+        v[monos.index(tuple(degree // w * (j == i) for j in range(5)))] for v in kernel)]
+    refused = None
+    try:
+        build_nodal_hypersurface(space, degree, nodes)
+    except NodeAtAmbientSingularity as exc:
+        refused = str(exc)
+    except NodalityFailed:
+        pass
+    assert (refused is not None) == bool(missed)
+    if missed:
+        assert refused.startswith(f"the hypersurface passes through e{missed[0]} = ")
 
 
 coordinates = st.integers(-5, 5) | small_fractions | st.just(0)
