@@ -10,16 +10,20 @@ scale factors telescope, so a row skipped since equals the dense pass's
 row times last / d, d the previous pivot: every division is exact
 (Sylvester's identity), entries stay integer minors and no gcd is taken.
 A stale row chosen as pivot is scaled by d / last from its pivot column on
-first, so pivots, last pivot and echelon rows are the dense pass's.
-``rank`` runs this pass alone.  ``_back_substitute`` solves the echelon rows
+first, so pivots, last pivot and echelon rows are the dense pass's.  The
+pass stops at full row rank: it eliminates a window of columns that starts
+at the row count and doubles while pivots are missing, and logs each step
+(the swap, the rescale, the pivot and each rewritten row's (row, f, last)).
+The steps are linear in a column: the log replayed on a column the pass
+left (``_replay`` on a block, ``_carry`` on one) gives the dense pass's.
+``rank`` runs the pass alone.  ``_back_substitute`` solves the echelon rows
 u bottom up, ``y_r = (D * b_r - sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` for
-p_s the pivot columns, D the last pivot and b_r a right-hand side; for b_r =
+p_s the pivot columns, D the last pivot and b a carried column; for b_r =
 u[r][f], f a free column, y_r is an integer minor (Cramer's rule) and y_r / D
 entry (r, f) of the reduced row echelon form.  ``rational_nullspace`` returns
 a ``Kernel``, whose basis (D at the free column, its last nonzero entry, and
--y_r at pivot column p_r) is solved on first read; ``mix`` solves one integer
-combination, b_r = sum_j c_j u[r][f_j].
-``invert_rational`` solves [A | I] for the identity block.
+-y_r at pivot column p_r) is solved on first read; ``mix`` carries one
+combination of the free columns, ``invert_rational`` [A | I]'s identity block.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import mul
 
@@ -55,7 +59,7 @@ class IntMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return cls(nr, nc, tuple(x for r in rows for x in r))
+        return cls(nr, nc, tuple(chain.from_iterable(rows)))
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
@@ -72,73 +76,97 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return IntMatrix.from_rows(cleared)
 
 
-def _forward(a: list[list[int]]) -> tuple[list[int], int]:
-    """Forward pass in place; returns (pivot columns, last pivot or 1).  Row
-    r < rank holds the r-th echelon row from its pivot on; the rest is stale."""
+def _forward(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, list]:
+    """Forward pass up to full row rank, a left as it is: (u, pivot columns,
+    last pivot or 1, step log).  Row r < rank of u holds the r-th echelon row
+    from its pivot on, over the window of columns eliminated."""
     nr, nc = len(a), len(a[0]) if a else 0
+    u, log, d = [row[:nr] for row in a], [], 1
     pivots: list[int] = []
-    d = 1
     last = [1] * nr     # pivot under which row i was last rewritten
     for c in range(nc):
         r = len(pivots)
-        row = next((i for i in range(r, nr) if a[i][c]), None)
-        if row is None:
+        if r == nr:
+            break
+        if c == len(u[r]):      # pivots are still missing: double the window
+            u = [x + y for x, y in zip(u, _replay(log, [row[c:2 * c] for row in a]))]
+        t = next((i for i in range(r, nr) if u[i][c]), None)
+        if t is None:
             continue
-        if row != r:
-            a[r], a[row] = a[row], a[r]
-            last[r], last[row] = last[row], last[r]
+        u[r], u[t], last[r], last[t] = u[t], u[r], last[t], last[r]
         s = last[r]
         if s != d:
-            a[r][c:] = [u * d // s for u in a[r][c:]]
-        p, tail = a[r][c], a[r][c + 1:]
+            u[r][c:] = [x * d // s for x in u[r][c:]]
+        p, tail, steps = u[r][c], u[r][c + 1:], []
+        log.append((r, t, d, s, p, steps))
         for i in range(r + 1, nr):
-            x = a[i]
-            f = x[c]
-            if f:
+            x = u[i]
+            if f := x[c]:
                 s, last[i] = last[i], p
-                x[c + 1:] = [(p * u - f * v) // s for u, v in zip(x[c + 1:], tail)]
+                steps.append((i, f, s))
+                x[c + 1:] = [(p * y - f * v) // s for y, v in zip(x[c + 1:], tail)]
         d = p
         pivots.append(c)
-    return pivots, d
+    return u, pivots, d, log
 
 
-def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
-                     rhs: list[list[int]]) -> list[list[int]]:
-    """y[r][j] = d * entry (r, j) of the reduced form of [echelon rows | rhs]."""
-    y: list[list[int]] = []   # y[s - r - 1] is row s while row r is solved
-    for r in reversed(range(len(pivots))):
-        row = a[r]
-        acc = [d * t for t in rhs[r]]
-        for k, ys in zip([row[c] for c in pivots[r + 1:]], y):
-            if k:
-                acc = [t - k * v for t, v in zip(acc, ys)]
-        y.insert(0, [t // row[pivots[r]] for t in acc])
+def _replay(log, b: list[list[int]]) -> list[list[int]]:
+    """The logged steps on b, rows of a block of the pass's input columns."""
+    for r, t, d, s, p, steps in log:
+        b[r], b[t] = b[t], b[r]
+        v = b[r] = b[r] if s == d else [x * d // s for x in b[r]]
+        for i, f, s in steps:
+            b[i] = [(p * y - f * z) // s for y, z in zip(b[i], v)]
+    return b
+
+
+def _carry(log, y: list[int]) -> list[int]:
+    """``_replay`` on one column y of the pass's input, as plain ints."""
+    for r, t, d, s, p, steps in log:
+        y[t], y[r] = y[r], y[t] if s == d else y[t] * d // s
+        v = y[r]
+        for i, f, s in steps:
+            y[i] = (p * y[i] - f * v) // s
     return y
 
 
+def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
+                     columns: list[list[int]]) -> list[list[int]]:
+    """y[r] = d * entry (r, b) of the reduced form of [echelon rows | b], per b."""
+    rows = [([row[c] for c in pivots[r + 1:]], row[p])
+            for r, (row, p) in enumerate(zip(a, pivots))][::-1]
+    out = []
+    for b in columns:
+        y: list[int] = []   # y[s - r - 1] is row s while row r is solved
+        for (upper, p), t in zip(rows, reversed(b[:len(rows)])):
+            y.insert(0, (d * t - sum(map(mul, upper, y))) // p)
+        out.append(y)
+    return out
+
+
 def rank(m: IntMatrix) -> int:
-    return len(_forward(m.to_rows())[0])
+    return len(_forward(m.to_rows())[1])
 
 
 class Kernel:
     """cols - rank(m) tuples of plain ints spanning m's kernel; D is ``d``."""
 
     def __init__(self, m: IntMatrix):
-        self._rows, self._cols, self._basis = m.to_rows(), m.cols, None
-        self._pivots, d = _forward(self._rows)
+        self._rows, self._basis = m.to_rows(), None
+        self._u, self._pivots, d, self._log = _forward(self._rows)
         self.d = int(d)   # a pivot never rewritten may be a bool
-        free = [c for c in range(m.cols) if c not in self._pivots]
-        self._at_free = [[row[f] for f in free] for row in self._rows[:len(self._pivots)]]
-        self._place = sorted(range(m.cols), key=(self._pivots + free).__getitem__)
+        self._free = sorted(set(range(m.cols)).difference(self._pivots))
+        self._place = sorted(range(m.cols), key=(self._pivots + self._free).__getitem__)
 
     def __len__(self) -> int:
-        return self._cols - len(self._pivots)
+        return len(self._free)
 
     def __getitem__(self, i):   # iteration falls back to indexing
         if self._basis is None:   # one batched back substitution
             n = len(self)
             self._basis = list(map(tuple, self._solve(
-                self._at_free, [[int(t == j) for t in range(n)] for j in range(n)])))
+                [_carry(self._log, [row[f] for row in self._rows]) for f in self._free],
+                [[int(t == j) for t in range(n)] for j in range(n)])))
         return self._basis[i]
 
     def __eq__(self, other) -> bool:
@@ -146,18 +174,19 @@ class Kernel:
             return NotImplemented
         return list(self) == list(other)
 
-    def _solve(self, rhs, at_free) -> list[list[int]]:
-        """d * at_free[j] at the free columns, pivot entries solving rhs[r][j]."""
-        y = _back_substitute(self._rows, self._pivots, self.d, rhs)
-        return [[w[i] for i in self._place] for values, *solved in zip(at_free, *y)
+    def _solve(self, columns, at_free) -> list[list[int]]:
+        """d * at_free[j] at the free columns, pivot entries solving columns[j]."""
+        y = _back_substitute(self._u, self._pivots, self.d, columns)
+        return [[w[i] for i in self._place] for values, solved in zip(at_free, y)
                 for w in [[-t for t in solved] + [self.d * c for c in values]]]
 
     def mix(self, coeffs: Sequence[int]) -> list[int]:
-        """sum_j coeffs[j] * self[j], from one back substitution."""
+        """sum_j coeffs[j] * self[j], from one carried column and one solve."""
         if len(coeffs) != len(self):
             raise ValueError(f"mix takes one coefficient per kernel vector: "
                              f"expected {len(self)}, got {len(coeffs)}")
-        return self._solve([[sum(map(mul, coeffs, r))] for r in self._at_free], [coeffs])[0]
+        b = [sum(map(mul, coeffs, map(row.__getitem__, self._free))) for row in self._rows]
+        return self._solve([_carry(self._log, b)], [coeffs])[0]
 
 
 rational_nullspace = Kernel
@@ -170,8 +199,9 @@ def invert_rational(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fract
         raise ValueError("matrix must be square")
     aug = from_rational_rows([list(row) + [int(i == j) for j in range(n)]
                               for i, row in enumerate(rows)]).to_rows()
-    pivots, d = _forward(aug)
+    u, pivots, d, log = _forward(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    y = _back_substitute(aug, pivots, d, [row[n:] for row in aug])
-    return [[Fraction(x, d) for x in row] for row in y]
+    y = _back_substitute(u, pivots, d, [_carry(log, [row[j] for row in aug])
+                                        for j in range(n, 2 * n)])
+    return [[Fraction(x, d) for x in row] for row in zip(*y)]

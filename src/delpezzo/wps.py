@@ -305,7 +305,7 @@ def hessian_rank(second, point, values) -> int:
             rows[r][c] = rows[c][r] = sum(map(mul, vector, values[s]))
     if type(sum(map(sum, rows))) is not int:   # a Fraction entry
         rows = lattice.from_rational_rows(rows).to_rows()
-    return len(lattice._forward(rows)[0])
+    return len(lattice._forward(rows)[1])
 
 
 def _is_node(poly: Poly, gradient, second, q, values, p) -> bool:
@@ -409,9 +409,13 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     solution space is drawn and redrawn (MAX_TRIES draws) until ``checked``
     would accept it.  The system is assembled at the nodes' integer
     representatives, which scales each row and leaves the kernel unchanged.
-    ``lattice.rational_nullspace`` keeps the kernel's forward pass, scaled to
-    integers by one divisor D, the last Bareiss pivot; each draw is one back
-    substitution (``Kernel.mix``), and only the accepted draw is divided by D.
+    ``lattice.rational_nullspace`` runs the forward pass on the constraint
+    rows only until each row has its pivot (over every column if the rows
+    are dependent) and keeps the log of its steps; the kernel is scaled to
+    integers by one divisor D, the last Bareiss pivot.  Each draw forms one
+    combination of the free columns, carries it through that log and
+    solves it by one back substitution (``Kernel.mix``); only the accepted
+    draw is divided by D.
     Sing W is checked only when a draw misses a power column or none is
     accepted: the kernel's basis, solved then, tells whether every kernel
     form passes through it.

@@ -55,6 +55,13 @@ def loaded_after(statement: str) -> set[str]:
         " if m.startswith('delpezzo.'))))"))
 
 
+def test_the_suite_imports_the_checkout():
+    # pyproject's pytest pythonpath puts src/ ahead of any installed copy;
+    # without it, a run with no PYTHONPATH would test the installed package
+    checkout = Path(__file__).resolve().parent.parent / "src"
+    assert Path(delpezzo.__file__).resolve().is_relative_to(checkout)
+
+
 def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import delpezzo") == set()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.lattice import (IntMatrix, _forward, from_rational_rows,
+from delpezzo.lattice import (IntMatrix, _carry, _forward, from_rational_rows,
                               invert_rational, rank, rational_nullspace)
 from oracles import (det_int, dense_forward, fraction_inverse, fraction_nullspace,
                      fraction_rank)
@@ -157,7 +157,7 @@ def assert_integer_kernel(int_rows, nc, basis, expected):
     """basis holds plain ints; every vector has D, the last pivot of
     ``_forward``, at its free column as its last nonzero entry; and basis / D
     is the Fraction reference ``expected``."""
-    pivots, d = _forward([list(r) for r in int_rows])
+    _, pivots, d, _ = _forward([list(r) for r in int_rows])
     free = [c for c in range(nc) if c not in pivots]
     assert all(type(x) is int for v in basis for x in v)
     assert len(basis) == len(free)
@@ -203,16 +203,39 @@ def test_invert_matches_fraction_reference(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints))
+@given(sparse_rows(wide_ints) | deficient_rows(wide_ints) | random_rows(wide_ints)
+       | sparse_rows(st.booleans()) | random_rows(st.booleans()))
 def test_forward_matches_dense_reference(case):
-    """Skipping the rows whose multiplier is 0 changes no pivot, no last
-    pivot and no echelon row from its pivot on."""
-    rows, _ = case
+    """Skipping the rows whose multiplier is 0 and stopping at full row rank
+    change no pivot and no last pivot; the eliminated rows followed by the
+    columns carried through the log are the dense pass's echelon rows from
+    each pivot on, and the input is left as it is."""
+    rows, nc = case
     lazy, dense = [list(r) for r in rows], [list(r) for r in rows]
-    pivots, d = _forward(lazy)
+    u, pivots, d, log = _forward(lazy)
+    assert lazy == rows
     assert (pivots, d) == dense_forward(dense)
+    w = len(u[0]) if u else nc
+    assert all(len(row) == w for row in u) and (not pivots or pivots[-1] < w)
+    carried = [_carry(log, [row[j] for row in rows]) for j in range(w, nc)]
     for r, c in enumerate(pivots):
-        assert lazy[r][c:] == dense[r][c:]
+        assert u[r][c:] + [y[r] for y in carried] == dense[r][c:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-20, 20), min_size=2 * n, max_size=2 * n),
+             min_size=n, max_size=n))))
+def test_full_row_rank_stops_the_pass(case):
+    """On [A | B] with A square and nonsingular the pass eliminates A's
+    columns and no more; B is left to the log."""
+    a, b = case
+    assume(det_int(a) != 0)
+    u, pivots, _, log = _forward([ra + rb for ra, rb in zip(a, b)])
+    assert pivots == list(range(len(a))) and len(log) == len(a)
+    assert [len(row) for row in u] == [len(a)] * len(a)
 
 
 @settings(max_examples=100)
@@ -221,7 +244,7 @@ def test_forward_matches_dense_reference(case):
                        min_size=n, max_size=n)))
 def test_last_pivot_is_the_determinant(rows):
     det = det_int(rows)
-    pivots, d = _forward([list(row) for row in rows])
+    _, pivots, d, _ = _forward([list(row) for row in rows])
     assert (len(pivots) == len(rows)) == (det != 0)
     if det:
         assert abs(d) == abs(det)

@@ -351,16 +351,16 @@ def test_integer_builds_match_fraction_reference(space, degree, nodes, seed):
 
 
 def _recording_solves(monkeypatch):
-    """(solves, kernels): per back substitution the set of its right-hand
-    sides' lengths, 1 for a draw and len(kernel) for a read of the basis,
-    and every kernel that rational_nullspace returns."""
+    """(solves, kernels): per back substitution the number of its
+    right-hand-side columns, 1 for a draw and len(kernel) for a read of the
+    basis, and every kernel that rational_nullspace returns."""
     from delpezzo import lattice
     back_substitute, nullspace = lattice._back_substitute, lattice.rational_nullspace
     solves, kernels = [], []
 
-    def counted(a, pivots, d, rhs):
-        solves.append({len(b) for b in rhs})
-        return back_substitute(a, pivots, d, rhs)
+    def counted(a, pivots, d, columns):
+        solves.append(len(columns))
+        return back_substitute(a, pivots, d, columns)
     monkeypatch.setattr(lattice, "_back_substitute", counted)
     monkeypatch.setattr(lattice, "rational_nullspace",
                         lambda m: kernels.append(nullspace(m)) or kernels[-1])
@@ -374,10 +374,10 @@ def test_builder_solves_once_per_draw(monkeypatch, seed, draws):
     solves, kernels = _recording_solves(monkeypatch)
     space, degree, nodes, _ = dsl.parse_instance((GOLDEN / "cubic-6n.hyp").read_text())
     hyp = build_nodal_hypersurface(space, degree, nodes, seed=seed)
-    assert solves == [{1}] * draws
+    assert solves == [1] * draws
     assert defect(hyp).delta == 1
     list(kernels[0])   # reading the basis is the one solve with a column per vector
-    assert solves[-1] == {len(kernels[0])} == {5}
+    assert solves[-1] == len(kernels[0]) == 5
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -399,7 +399,7 @@ def test_builder_checks_sing_w_only_when_a_draw_misses_it(monkeypatch, name):
     space, degree, nodes, _ = dsl.parse_instance((GOLDEN / name).read_text())
     if name != "sextic-12n.hyp":
         build_nodal_hypersurface(space, degree, nodes)
-        assert solves == [{1}] * len(draws)
+        assert solves == [1] * len(draws)
         return
     # every kernel vector is 0 at x3^3, so the first draw misses it and the
     # basis is read once for both power columns, x3^3 and x4^2
@@ -407,7 +407,7 @@ def test_builder_checks_sing_w_only_when_a_draw_misses_it(monkeypatch, name):
                        match=r"through e3 = \(0:0:0:1:0\), a singular point"):
         build_nodal_hypersurface(space, degree, nodes)
     assert len(draws) == 1
-    assert solves == [{1}, {len(kernels[0])}] == [{1}, {4}]
+    assert solves == [1, len(kernels[0])] == [1, 4]
 
 
 def test_builder_redraws_when_a_draw_misses_a_power_column(monkeypatch):
@@ -429,7 +429,7 @@ def test_builder_redraws_when_a_draw_misses_a_power_column(monkeypatch):
         (GOLDEN / "quartic-rational.hyp").read_text())
     hyp = build_nodal_hypersurface(space, degree, nodes)
     kernel = kernels[0]
-    assert len(draws) == 2 and solves == [{1}, {len(kernel)}, {1}]
+    assert len(draws) == 2 and solves == [1, len(kernel), 1]
     assert any(v[column] for v in kernel)
     assert hyp.coefficients == tuple(Fraction(c, kernel.d)
                                      for c in mix(kernel, draws[1]))
