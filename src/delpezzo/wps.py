@@ -43,6 +43,13 @@ builder's draws run one certificate per node.  The builder
 takes dim W + 1 constraint rows per node, one per first partial: in positive
 degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
 wherever the gradient does, so the value row is left out (degree 0 keeps it).
+It hands them to the elimination heaviest variable first (``_heavy_first``):
+a heavy partial keeps only the monomials containing its variable (on the
+sextic 14 of 64 for x4, 10 of them in the first 32 lex columns), so its
+sparse rows take those pivots and the dense weight-1 rows are rewritten
+less often.  Reordering rows leaves the row space, hence the reduced echelon
+basis and every draw, as they are.  A draw is certified as its primitive
+form, the integer draw divided by the gcd of its entries.
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -400,6 +407,14 @@ def _node_constraint_rows(weights: tuple[int, ...], degree: int,
     return rows
 
 
+def _heavy_first(weights: tuple[int, ...], rows: list) -> list:
+    """Node-major first-partial rows (no value rows) sorted stably by the
+    weight of the partial's variable, heaviest first: on equal weights the
+    same rows in the same order."""
+    n = len(weights)
+    return [rows[r] for r in sorted(range(len(rows)), key=lambda r: -weights[r % n])]
+
+
 def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
                              seed: int = 0) -> NodalHypersurface:
     """Solve for a form with prescribed nodes.
@@ -415,7 +430,13 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     integers by one divisor D, the last Bareiss pivot.  Each draw forms one
     combination of the free columns, carries it through that log and
     solves it by one back substitution (``Kernel.mix``); only the accepted
-    draw is divided by D.
+    draw is divided by D.  In positive degree the rows go in heaviest
+    partial first, node-major within a weight (``_heavy_first``): the
+    pivot columns and the reduced echelon rows depend on the row space
+    only, so the order may change D but no draw divided by D.  The
+    certificate runs on the draw's primitive form, D times the draw
+    divided by the gcd of its entries, whose integers are smaller by the
+    draw's content.
     Sing W is checked only when a draw misses a power column or none is
     accepted: the kernel's basis, solved then, tells whether every kernel
     form passes through it.
@@ -427,8 +448,9 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
         raise NoSolution(f"no monomials of degree {_clipped(degree)}")
     values = [_node_values(space.weights, degree, q) for q in points]
     if norm:
+        rows = _node_constraint_rows(space.weights, degree, values)
         constraints = lattice.IntMatrix.from_rows(
-            _node_constraint_rows(space.weights, degree, values))
+            _heavy_first(space.weights, rows) if degree else rows)
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)
@@ -448,8 +470,10 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
         if not any(coeffs) or _ambient_fault(space, degree, coeffs):
             sing_w()
             continue
-        poly = _poly_from_vector(monos, coeffs)
-        jets = _jets(space.weights, degree, coeffs)
+        g = gcd(*coeffs)
+        form = [c // g for c in coeffs]
+        poly = _poly_from_vector(monos, form)
+        jets = _jets(space.weights, degree, form)
         if all(_is_node(poly, *jets, *node) for node in zip(points, values, norm)):
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, kernel.d) for c in coeffs), norm)

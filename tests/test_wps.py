@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo import dsl, lattice
+from delpezzo import dsl, lattice, wps
 from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
                              NegativeLDegree, NodalityFailed, NodeAtAmbientSingularity,
                              NoSolution, ToolError, UnsupportedChart)
@@ -549,6 +550,88 @@ def test_constraint_rows_match_naive_assembly(weights, degree, points):
     rows = constraint_rows(weights, degree, points)
     assert rows == naive_constraint_rows(monos, points, degree)
     assert all(type(x) is int for row in rows for x in row)
+
+
+class _Stop(Exception):
+    """Raised by a spy to end a build once it has what it needs."""
+
+
+def _rows_handed_to_the_nullspace(space, degree, nodes):
+    """The constraint rows the builder hands lattice.rational_nullspace."""
+    handed = []
+
+    def spy(m):
+        handed.append(m.to_rows())
+        raise _Stop
+    with mock.patch.object(lattice, "rational_nullspace", spy), pytest.raises(_Stop):
+        build_nodal_hypersurface(space, degree, nodes)
+    return handed[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(P4.weights, 3), (P11112.weights, 4), (P11123.weights, 6)])
+       | st.tuples(st.lists(st.integers(1, 4), min_size=2, max_size=4).map(
+           lambda ws: (1, *ws)), st.integers(1, 6)),
+       st.data())
+def test_heavy_first_row_order_changes_no_draw(case, data):
+    # the builder hands over the partial rows heaviest variable first, node-major
+    # within a weight; the reduced echelon basis depends on the row space only,
+    # so each draw, mix(c) / D, is the one of the node-major rows
+    weights, degree = case
+    n = len(weights)
+    nodes = data.draw(st.lists(st.tuples(st.just(1), *[st.integers(-3, 3)] * (n - 1)),
+                               min_size=1, max_size=8, unique=True))
+    rows = constraint_rows(weights, degree, nodes)
+    heavy = _rows_handed_to_the_nullspace(WeightedSpace(weights), degree, nodes)
+    assert heavy == [rows[k * n + i] for w in sorted(set(weights), reverse=True)
+                     for k in range(len(nodes)) for i in range(n) if weights[i] == w]
+    if len(set(weights)) == 1:
+        assert heavy == rows
+    if weights == P11123.weights:
+        assert heavy[:len(nodes)] == rows[4::5]   # every node's d/dx4 row
+    kernels = [rational_nullspace(IntMatrix.from_rows(m)) for m in (rows, heavy)]
+    assert len(kernels[0]) == len(kernels[1])
+    c = data.draw(st.lists(st.integers(-9, 9), min_size=len(kernels[0]),
+                           max_size=len(kernels[0])))
+    draws = [[Fraction(x, k.d) for x in k.mix(c)] for k in kernels]
+    assert draws[0] == draws[1]
+
+
+BUILD_DIGESTS = json.loads((GOLDEN / "build-digests.json").read_text())
+
+
+def _golden_sextic_nodes(mu):
+    return next([tuple(p) for p in c["nodes"]] for c in BUILD_DIGESTS
+                if c["degree"] == 6 and len(c["nodes"]) == mu)
+
+
+def _rewrites(rows):
+    """The rows the forward pass rewrites: the sum of its logged steps."""
+    return sum(len(steps) for *_, steps in lattice._forward(rows)[3])
+
+
+@pytest.mark.parametrize("mu,rewrites", [(9, (578, 528)), (12, (1180, 1031))])
+def test_heavy_first_rows_rewrite_fewer_rows(mu, rewrites):
+    # node-major rows, then the builder's: a d/dx4 row is nonzero only on the
+    # 14 of 64 monomials with x4, 10 of them in the first 32 columns; as
+    # pivots there these rows spare the dense weight-1 rows some rewrites
+    nodes = _golden_sextic_nodes(mu)
+    rows = constraint_rows(P11123.weights, 6, nodes)
+    heavy = _rows_handed_to_the_nullspace(P11123, 6, nodes)
+    assert (_rewrites(rows), _rewrites(heavy)) == rewrites
+
+
+def test_certificate_runs_on_the_primitive_draw(monkeypatch):
+    # mix returns D times the draw; the certificate gets the draw over its content
+    forms = []
+    monkeypatch.setattr(wps, "_jets", lambda weights, degree, form:
+                        forms.append(form) or _jets(weights, degree, form))
+    nodes = _golden_sextic_nodes(7)
+    hyp = build_nodal_hypersurface(P11123, 6, nodes)
+    assert forms and all(gcd(*form) == 1 for form in forms)
+    cleared = lattice.from_rational_rows([hyp.coefficients]).entries
+    content = gcd(*cleared)
+    assert [c // content for c in cleared] in (forms[-1], [-c for c in forms[-1]])
 
 
 @settings(max_examples=100, deadline=None)
