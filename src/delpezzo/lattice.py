@@ -10,12 +10,17 @@ scale factors telescope, so a row skipped since equals the dense pass's
 row times last / d, d the previous pivot: every division is exact
 (Sylvester's identity), entries stay integer minors and no gcd is taken.
 A stale row chosen as pivot is scaled by d / last from its pivot column on
-first, so pivots, last pivot and echelon rows are the dense pass's.  The
-pass stops at full row rank: it eliminates a window of columns that starts
-at the row count and doubles while pivots are missing, and logs each step
-(the swap, the rescale, the pivot and each rewritten row's (row, f, last)).
-The steps are linear in a column: the log replayed on a column the pass
-left (``_replay`` on a block, ``_carry`` on one) gives the dense pass's.
+first, so pivots, last pivot and echelon rows are the dense pass's.  When
+the next pivot sits in column c + 1, one sweep may eliminate both columns
+(Bareiss's two-step method): the second pivot row, the first whose entry
+at c + 1 is nonzero after the step by p, takes that step and gives w with
+pivot p1; a row below it with f != 0 becomes ``(p * p1 * row - f * p1 * v
+- g * w) // (last * p)`` right of c + 1, v the first pivot row and g =
+p * row[c + 1] - f * v[c + 1], and a row with f = 0 takes the step by p1
+alone.  The pass stops at full row rank: it eliminates a window of columns
+that starts at the row count and doubles while pivots are missing, and
+logs each sweep, linear in a column: the log replayed on a column the
+pass left (``_replay`` on a block, ``_carry`` on one) gives the dense pass's.
 ``rank`` runs the pass alone.  ``_back_substitute`` solves the echelon rows
 u bottom up, ``y_r = (D * b_r - sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` for
 p_s the pivot columns, D the last pivot and b a carried column; for b_r =
@@ -34,6 +39,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
 from operator import mul
+
+# measured: a two-step sweep pays with many rows left and small entries
+_PAIR_ROWS, _PAIR_BITS = 16, 512
 
 
 @dataclass(frozen=True)
@@ -76,20 +84,29 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return IntMatrix.from_rows(cleared)
 
 
-def _forward(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, list]:
+def _forward(a: list[list[int]], full=False) -> tuple[list[list[int]], list[int], int, list]:
     """Forward pass up to full row rank, a left as it is: (u, pivot columns,
     last pivot or 1, step log).  Row r < rank of u holds the r-th echelon row
-    from its pivot on, over the window of columns eliminated."""
+    from its pivot on, over the window of columns eliminated; with full the
+    window grows to every column at once.  Pivot columns c and c + 1 pair
+    unless c + 1 is past the window or a pair costs more than two sweeps:
+    at most _PAIR_ROWS rows left, or p of more than _PAIR_BITS bits.
+    A sweep logs (r, t, d, last, p, steps, second): rows r and t swapped,
+    row r scaled by d / last, rows rewritten by p alone as (row, f, last),
+    and second, () or for a pair ((t1, pair),): the second pivot row t1,
+    swapped into r + 1 after steps, and the rows rewritten to
+    (a * row - f * v - g * w) // s as (row, a, f, g, s)."""
     nr, nc = len(a), len(a[0]) if a else 0
     u, log, d = [row[:nr] for row in a], [], 1
     pivots: list[int] = []
     last = [1] * nr     # pivot under which row i was last rewritten
-    for c in range(nc):
+    for c in (columns := iter(range(nc))):
         r = len(pivots)
         if r == nr:
             break
-        if c == len(u[r]):      # pivots are still missing: double the window
-            u = [x + y for x, y in zip(u, _replay(log, [row[c:2 * c] for row in a]))]
+        if c == len(u[r]):      # pivots are still missing: grow the window
+            u = [x + y for x, y in zip(u, _replay(log, [
+                row[c:nc if full else 2 * c] for row in a]))]
         t = next((i for i in range(r, nr) if u[i][c]), None)
         if t is None:
             continue
@@ -97,36 +114,64 @@ def _forward(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, list]
         s = last[r]
         if s != d:
             u[r][c:] = [x * d // s for x in u[r][c:]]
-        p, tail, steps = u[r][c], u[r][c + 1:], []
-        log.append((r, t, d, s, p, steps))
+        p, tail, steps, t1 = u[r][c], u[r][c + 1:], [], None
+        pairing = tail and nr - r > _PAIR_ROWS and p.bit_length() <= _PAIR_BITS
         for i in range(r + 1, nr):
             x = u[i]
-            if f := x[c]:
+            if (f := x[c]) or pairing and x[c + 1] and last[i] != p:
                 s, last[i] = last[i], p
                 steps.append((i, f, s))
                 x[c + 1:] = [(p * y - f * v) // s for y, v in zip(x[c + 1:], tail)]
+            if pairing and x[c + 1]:    # the second pivot row
+                t1, pair = i, []
+                break
+        log.append((r, t, d, last[r], p, steps, () if t1 is None else ((t1, pair),)))
         d = p
         pivots.append(c)
+        if t1 is not None:
+            u[r + 1], u[t1], last[r + 1], last[t1] = u[t1], u[r + 1], last[t1], last[r + 1]
+            d, q, tail, w = u[r + 1][c + 1], tail[0], tail[1:], u[r + 1][c + 2:]
+            pd = p * d
+            for i in range(t1 + 1, nr):
+                x = u[i]
+                if f := x[c]:   # both steps in one sweep
+                    g, s, last[i], h = p * x[c + 1] - f * q, last[i] * p, d, f * d
+                    pair.append((i, pd, h, g, s))
+                    x[c + 2:] = [(pd * y - h * v - g * z) // s
+                                 for y, v, z in zip(x[c + 2:], tail, w)]
+                elif e := x[c + 1]:     # the second step alone
+                    s, last[i] = last[i], d
+                    pair.append((i, d, 0, e, s))
+                    x[c + 2:] = [(d * y - e * z) // s for y, z in zip(x[c + 2:], w)]
+            pivots.append(next(columns))    # c + 1, skipped by the loop
     return u, pivots, d, log
 
 
 def _replay(log, b: list[list[int]]) -> list[list[int]]:
     """The logged steps on b, rows of a block of the pass's input columns."""
-    for r, t, d, s, p, steps in log:
+    for r, t, d, s, p, steps, second in log:
         b[r], b[t] = b[t], b[r]
         v = b[r] = b[r] if s == d else [x * d // s for x in b[r]]
         for i, f, s in steps:
             b[i] = [(p * y - f * z) // s for y, z in zip(b[i], v)]
+        for t1, pair in second:
+            b[r + 1], b[t1] = b[t1], b[r + 1]
+            for i, a, f, g, s in pair:
+                b[i] = [(a * y - f * z - g * x) // s for y, z, x in zip(b[i], v, b[r + 1])]
     return b
 
 
 def _carry(log, y: list[int]) -> list[int]:
     """``_replay`` on one column y of the pass's input, as plain ints."""
-    for r, t, d, s, p, steps in log:
+    for r, t, d, s, p, steps, second in log:
         y[t], y[r] = y[r], y[t] if s == d else y[t] * d // s
         v = y[r]
         for i, f, s in steps:
             y[i] = (p * y[i] - f * v) // s
+        for t1, pair in second:
+            y[t1], y[r + 1] = y[r + 1], y[t1]
+            for i, a, f, g, s in pair:
+                y[i] = (a * y[i] - f * v - g * y[r + 1]) // s
     return y
 
 
@@ -145,7 +190,7 @@ def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
 
 
 def rank(m: IntMatrix) -> int:
-    return len(_forward(m.to_rows())[1])
+    return len(_forward(m.to_rows(), full=True)[1])
 
 
 class Kernel:

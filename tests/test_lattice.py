@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.lattice import (IntMatrix, _carry, _forward, from_rational_rows,
-                              invert_rational, rank, rational_nullspace)
+from delpezzo.lattice import (_PAIR_BITS, _PAIR_ROWS, IntMatrix, _carry, _forward,
+                              _replay, from_rational_rows, invert_rational, rank,
+                              rational_nullspace)
 from oracles import (det_int, dense_forward, fraction_inverse, fraction_nullspace,
                      fraction_rank)
 
@@ -101,12 +104,12 @@ wide_fractions = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 7)
 
 
 @st.composite
-def deficient_rows(draw, entries, square=False):
+def deficient_rows(draw, entries, square=False, sizes=st.integers(0, MAX_SIZE)):
     """(rows, cols) of a product of an nr x k and a k x nc matrix with
     k < min(nr, nc), so rank deficient unless a side is 0, with some columns
     zeroed.  Zero rows are allowed."""
-    nr = draw(st.integers(0, MAX_SIZE))
-    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    nr = draw(sizes)
+    nc = nr if square else draw(sizes)
     k = draw(st.integers(0, max(min(nr, nc) - 1, 0)))
     left = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
                          min_size=nr, max_size=nr))
@@ -119,21 +122,21 @@ def deficient_rows(draw, entries, square=False):
 
 
 @st.composite
-def random_rows(draw, entries, square=False):
+def random_rows(draw, entries, square=False, sizes=st.integers(0, MAX_SIZE)):
     """(rows, cols) with independent entries, so usually of full rank."""
-    nr = draw(st.integers(0, MAX_SIZE))
-    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    nr = draw(sizes)
+    nc = nr if square else draw(sizes)
     return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
                          min_size=nr, max_size=nr)), nc
 
 
 @st.composite
-def sparse_rows(draw, entries, square=False):
+def sparse_rows(draw, entries, square=False, sizes=st.integers(0, MAX_SIZE)):
     """(rows, cols) in which every row is at least half zeros, with zero
     columns, zero rows and repeated rows, like the builder's node
     constraints: most multipliers of the forward pass are 0."""
-    nr = draw(st.integers(0, MAX_SIZE))
-    nc = nr if square else draw(st.integers(0, MAX_SIZE))
+    nr = draw(sizes)
+    nc = nr if square else draw(sizes)
     cols = st.integers(0, max(nc - 1, 0))
     zeroed = draw(st.sets(cols, max_size=nc))
     rows = []
@@ -234,8 +237,69 @@ def test_full_row_rank_stops_the_pass(case):
     a, b = case
     assume(det_int(a) != 0)
     u, pivots, _, log = _forward([ra + rb for ra, rb in zip(a, b)])
-    assert pivots == list(range(len(a))) and len(log) == len(a)
+    assert pivots == list(range(len(a))) and _swept_pivot_rows(log) == pivots
     assert [len(row) for row in u] == [len(a)] * len(a)
+
+
+def _swept_pivot_rows(log):
+    """The pivot rows of the logged sweeps: r for a one-step entry, whose
+    last field is (), r and r + 1 for a two-step one, ((t1, pair),)."""
+    return sorted(chain.from_iterable([r] + [r + 1] * len(second)
+                                      for r, *_, second in log))
+
+
+# -- two-step sweeps: rows enough at a pivot to pair it with the next ---------
+
+paired_sizes = st.integers(_PAIR_ROWS + 1, _PAIR_ROWS + 6)
+# entries of about _PAIR_BITS / 2 bits: the first pivots pair, the larger
+# ones that follow sweep alone
+huge_ints = st.builds(lambda hi, lo: (hi << _PAIR_BITS // 2) + lo, wide_ints, wide_ints)
+
+
+@st.composite
+def shifted_rows(draw, cases):
+    """A case behind z zero columns, z often the last column of a window, so
+    that a pivot falls where no second pivot column is eliminated."""
+    rows, nc = draw(cases)
+    nr = len(rows)
+    z = draw(st.sampled_from([0, nr - 1, 2 * nr - 1]) | st.integers(0, 2 * nr))
+    return [[0] * z + row for row in rows], z + nc
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_rows(sparse_rows(wide_ints, sizes=paired_sizes)
+                    | deficient_rows(wide_ints, sizes=paired_sizes)
+                    | random_rows(wide_ints, sizes=paired_sizes)
+                    | random_rows(huge_ints, sizes=paired_sizes)))
+def test_two_step_sweeps_match_dense_reference(case):
+    """With more than _PAIR_ROWS rows left at a pivot, pivots in adjacent
+    columns are eliminated in one sweep: pivots, last pivot and echelon
+    rows are the dense pass's, the columns left to the log come out of
+    ``_replay`` and ``_carry`` as the dense pass's, each pivot row is swept
+    once, a row 0 at the first pivot column takes the second step alone,
+    and rank, kernel and mixed draws agree with the pivots."""
+    rows, nc = case
+    dense = [list(r) for r in rows]
+    u, pivots, d, log = _forward([list(r) for r in rows])
+    assert (pivots, d) == dense_forward(dense)
+    assert _swept_pivot_rows(log) == list(range(len(pivots)))
+    for r, *_, second in log:   # a row 0 at the first pivot column: p1 alone
+        assert all(a == u[r + 1][pivots[r + 1]] for _, pair in second
+                   for _, a, f, _, _ in pair if not f)
+    w = len(u[0])
+    replayed = _replay(log, [row[w:] for row in rows])
+    carried = [_carry(log, [row[j] for row in rows]) for j in range(w, nc)]
+    assert replayed == [[y[i] for y in carried] for i in range(len(rows))]
+    for r, c in enumerate(pivots):
+        assert u[r][c:] + replayed[r] == dense[r][c:]
+    m = _int_matrix(rows, nc)
+    assert rank(m) == len(pivots)
+    kernel, free = rational_nullspace(m), [c for c in range(nc) if c not in pivots]
+    # D at its free column, 0 at the others, in the kernel: D times the reduced basis
+    assert [[v[f] for f in free] for v in kernel] == [[d * (f == g) for f in free]
+                                                        for g in free]
+    assert not any(sum(map(mul, row, v)) for row in rows for v in kernel)
+    assert_lazy_kernel(kernel, nc, list(range(1, len(kernel) + 1)))
 
 
 @settings(max_examples=100)
