@@ -18,9 +18,9 @@ pivot p1; a row below it with f != 0 becomes ``(p * p1 * row - f * p1 * v
 - g * w) // (last * p)`` right of c + 1, v the first pivot row and g =
 p * row[c + 1] - f * v[c + 1], and a row with f = 0 takes the step by p1
 alone.  The pass stops at full row rank: it eliminates a window of columns
-that starts at the row count and doubles while pivots are missing, and
-logs each sweep, linear in a column: the log replayed on a column the
-pass left (``_replay`` on a block, ``_carry`` on one) gives the dense pass's.
+that starts at the row count, carries the next column in while pivots are
+missing at its end, and logs each sweep, linear in a column: ``_carry``,
+the log replayed on a column the pass left, gives the dense pass's.
 ``rank`` runs the pass alone.  ``_back_substitute`` solves the echelon rows
 u bottom up, ``y_r = (D * b_r - sum_{s>r} u[r][p_s] * y_s) // u[r][p_r]`` for
 p_s the pivot columns, D the last pivot and b a carried column; for b_r =
@@ -84,13 +84,13 @@ def from_rational_rows(rows: Sequence[Sequence[Fraction | int]]) -> IntMatrix:
     return IntMatrix.from_rows(cleared)
 
 
-def _forward(a: list[list[int]], full=False) -> tuple[list[list[int]], list[int], int, list]:
+def _forward(a: list[list[int]]) -> tuple[list[list[int]], list[int], int, list]:
     """Forward pass up to full row rank, a left as it is: (u, pivot columns,
     last pivot or 1, step log).  Row r < rank of u holds the r-th echelon row
-    from its pivot on, over the window of columns eliminated; with full the
-    window grows to every column at once.  Pivot columns c and c + 1 pair
-    unless c + 1 is past the window or a pair costs more than two sweeps:
-    at most _PAIR_ROWS rows left, or p of more than _PAIR_BITS bits.
+    from its pivot on, over the window of columns eliminated: the first nr,
+    and one more carried in per column reached.  Pivot columns c and c + 1
+    pair unless c + 1 is past the window or a pair costs more than two
+    sweeps: at most _PAIR_ROWS rows left, or p of more than _PAIR_BITS bits.
     A sweep logs (r, t, d, last, p, steps, second): rows r and t swapped,
     row r scaled by d / last, rows rewritten by p alone as (row, f, last),
     and second, () or for a pair ((t1, pair),): the second pivot row t1,
@@ -104,9 +104,9 @@ def _forward(a: list[list[int]], full=False) -> tuple[list[list[int]], list[int]
         r = len(pivots)
         if r == nr:
             break
-        if c == len(u[r]):      # pivots are still missing: grow the window
-            u = [x + y for x, y in zip(u, _replay(log, [
-                row[c:nc if full else 2 * c] for row in a]))]
+        if c == len(u[r]):      # pivots are still missing: carry column c in
+            for x, y in zip(u, _carry(log, [row[c] for row in a])):
+                x.append(y)
         t = next((i for i in range(r, nr) if u[i][c]), None)
         if t is None:
             continue
@@ -147,22 +147,8 @@ def _forward(a: list[list[int]], full=False) -> tuple[list[list[int]], list[int]
     return u, pivots, d, log
 
 
-def _replay(log, b: list[list[int]]) -> list[list[int]]:
-    """The logged steps on b, rows of a block of the pass's input columns."""
-    for r, t, d, s, p, steps, second in log:
-        b[r], b[t] = b[t], b[r]
-        v = b[r] = b[r] if s == d else [x * d // s for x in b[r]]
-        for i, f, s in steps:
-            b[i] = [(p * y - f * z) // s for y, z in zip(b[i], v)]
-        for t1, pair in second:
-            b[r + 1], b[t1] = b[t1], b[r + 1]
-            for i, a, f, g, s in pair:
-                b[i] = [(a * y - f * z - g * x) // s for y, z, x in zip(b[i], v, b[r + 1])]
-    return b
-
-
 def _carry(log, y: list[int]) -> list[int]:
-    """``_replay`` on one column y of the pass's input, as plain ints."""
+    """The log replayed on y, a column of the pass's input, as u would hold it."""
     for r, t, d, s, p, steps, second in log:
         y[t], y[r] = y[r], y[t] if s == d else y[t] * d // s
         v = y[r]
@@ -190,7 +176,8 @@ def _back_substitute(a: list[list[int]], pivots: list[int], d: int,
 
 
 def rank(m: IntMatrix) -> int:
-    return len(_forward(m.to_rows(), full=True)[1])
+    """The number of pivots of the forward pass."""
+    return len(_forward(m.to_rows())[1])
 
 
 class Kernel:
@@ -215,7 +202,7 @@ class Kernel:
         return self._basis[i]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Kernel, Sequence)):   # 5, None: not equal
+        if not isinstance(other, (type(self), Sequence)):   # 5, None: not equal
             return NotImplemented
         return list(self) == list(other)
 
