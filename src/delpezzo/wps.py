@@ -39,17 +39,17 @@ s - w_i wherever the table has that degree.  So a form's partials are dense
 vectors read off the pairs, a node's monomial values one list per degree,
 each partial at a node one dot product and one constraint row, and the
 Hessian minor int rows for ``lattice``'s forward pass; ``checked`` and the
-builder's draws run one certificate per node.  The builder
+builder's draws run one certificate (``_degenerate``).  The builder
 takes dim W + 1 constraint rows per node, one per first partial: in positive
 degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
 wherever the gradient does, so the value row is left out (degree 0 keeps it).
-It hands them to the elimination heaviest variable first (``_heavy_first``):
-a heavy partial keeps only the monomials containing its variable (on the
-sextic 14 of 64 for x4, 10 of them in the first 32 lex columns), so its
-sparse rows take those pivots and the dense weight-1 rows are rewritten
-less often.  Reordering rows leaves the row space, hence the reduced echelon
-basis and every draw, as they are.  A draw is certified as its primitive
-form, the integer draw divided by the gcd of its entries.
+``_node_constraint_rows`` writes them heaviest variable first: a heavy
+partial keeps only the monomials containing its variable (on the sextic 14
+of 64 for x4, 10 of them in the first 32 lex columns), so its sparse rows
+take those pivots and the dense weight-1 rows are rewritten less often.
+Row order leaves the row space, hence the reduced echelon basis and every
+draw, as they are.  A draw is certified as its primitive form, the integer
+draw divided by the gcd of its entries.
 
 A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
@@ -230,9 +230,6 @@ def _derivatives(weights: tuple[int, ...], degree: int):
 
 # -- exact polynomial helpers ---------------------------------------------
 
-def _poly_from_vector(monos: list[Mono], coeffs) -> Poly:
-    return {m: c for m, c in zip(monos, coeffs) if c != 0}
-
 def _integral(space: WeightedSpace, p: Point) -> tuple[int, ...]:
     """The integer representative t.p of a point: coordinate i times
     t**w_i, for t the lcm of the coordinates' denominators."""
@@ -315,15 +312,21 @@ def hessian_rank(second, point, values) -> int:
     return len(lattice._forward(rows)[1])
 
 
-def _is_node(poly: Poly, gradient, second, q, values, p) -> bool:
-    """The certificate at q, the integer point of the node p: raises unless
-    the form and its gradient vanish, tells whether the Hessian is full."""
-    if poly_eval(poly, q) != 0:
-        raise InvariantViolation(f"form does not vanish at {clip(str(p), NAME_ECHO)}")
-    if any(sum(map(mul, vector, values[s])) for s, vector in gradient):
-        raise InvariantViolation(
-            f"gradient does not vanish at {clip(str(p), NAME_ECHO)}")
-    return hessian_rank(second, q, values) == len(q) - 1
+def _degenerate(weights: tuple[int, ...], degree: int, form, points) -> Point | None:
+    """The node certificate of an integer form, node by node in order over
+    ``_prepare_nodes``' (q, values, p): raises unless the form and its
+    gradient vanish at q, the integer point of the node p, and returns the
+    first p whose Hessian is not full, else None."""
+    poly = {m: c for m, c in zip(_monomials(weights, degree), form) if c}
+    gradient, second = _jets(weights, degree, form)
+    for q, values, p in points:
+        if poly_eval(poly, q) != 0:
+            raise InvariantViolation(f"form does not vanish at {clip(str(p), NAME_ECHO)}")
+        if any(sum(map(mul, vector, values[s])) for s, vector in gradient):
+            raise InvariantViolation(
+                f"gradient does not vanish at {clip(str(p), NAME_ECHO)}")
+        if hessian_rank(second, q, values) != len(q) - 1:
+            return p
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ class NodalHypersurface:
     weighted Hessian has rank 4, and the hypersurface misses the coordinate
     points of Sing W.  ``checked`` certifies this on the integer form
     (coefficients times the lcm of their denominators) at each node's
-    integer representative, with the certificate ``_is_node``.
+    integer representative, with the builder's certificate ``_degenerate``.
     """
 
     ambient: WeightedSpace
@@ -361,58 +364,50 @@ class NodalHypersurface:
                 nodes) -> "NodalHypersurface":
         """Validating constructor: normalizes the nodes and verifies every
         declared invariant, raising on the first violation."""
-        norm = _prepare_nodes(ambient, nodes)
+        norm, points = _prepare_nodes(ambient, degree, nodes)
         coeffs = tuple(map(_fraction, coefficients))
         hyp = cls(ambient, degree, coeffs, norm)
         form = lattice.from_rational_rows([coeffs]).entries
-        poly = _poly_from_vector(hyp.monomials(), form)
-        if not poly:
+        if not any(form):
             raise InvariantViolation("the zero form is not a hypersurface")
-        jets = _jets(ambient.weights, degree, form)
-        for p in norm:
-            q = _integral(ambient, p)
-            if not _is_node(poly, *jets, q, _node_values(ambient.weights, degree, q), p):
-                raise InvariantViolation(
-                    f"Hessian is degenerate at {clip(str(p), NAME_ECHO)}")
+        if p := _degenerate(ambient.weights, degree, form, points):
+            raise InvariantViolation(f"Hessian is degenerate at {clip(str(p), NAME_ECHO)}")
         if fault := _ambient_fault(ambient, degree, form):
             raise fault
         return hyp
 
 
-def _prepare_nodes(space: WeightedSpace, nodes) -> tuple[Point, ...]:
+def _prepare_nodes(space: WeightedSpace, degree: int, nodes):
+    """The normalized, pairwise distinct nodes p, and a lazy iterable of
+    (q, ``_node_values`` at q, p) per node for q its integer point."""
     norm = tuple(map(space.normalize, nodes))
     if len({tuple(map(_terms, p)) for p in norm}) != len(norm):
         raise InvalidNode("nodes must be pairwise distinct")
-    return norm
+    return norm, ((q, _node_values(space.weights, degree, q), p)
+                  for p in norm for q in [_integral(space, p)])
 
 
 def _node_constraint_rows(weights: tuple[int, ...], degree: int,
                           values: list[dict[int, list]]) -> list[list[int]]:
     """First-partial rows of the monomials at points given by their
-    ``_node_values``, each written from the partial's kept (position,
-    factor) pairs, and value rows in degree 0 only: for degree > 0 the
-    Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts the value row in
-    the span of the partial rows, so dropping it leaves the row space the same."""
+    ``_node_values``, heaviest partial first and node-major within a weight,
+    each written from the partial's kept (position, factor) pairs.  For
+    degree > 0 the Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts
+    the value row in the span of the partial rows, so it is left out; in
+    degree 0 each node gives the constant's value row, then zero partials."""
+    if degree == 0:
+        return [[int(i == 0)] for _ in values for i in range(len(weights) + 1)]
     _, _, kept, _ = _derivatives(weights, degree)
     width = len(_monomials(weights, degree))
     rows = []
-    for vals in values:
-        if degree == 0:
-            rows.append([1])   # the value of the one monomial, the constant
-        for s, column in kept[:len(weights)]:
-            row = [0] * width
-            for (j, k), v in zip(column, vals[s]):
-                row[j] = k * v
-            rows.append(row)
+    for w in sorted(set(weights), reverse=True):
+        for vals in values:
+            for s, column in (kept[i] for i, wi in enumerate(weights) if wi == w):
+                row = [0] * width
+                for (j, k), v in zip(column, vals[s]):
+                    row[j] = k * v
+                rows.append(row)
     return rows
-
-
-def _heavy_first(weights: tuple[int, ...], rows: list) -> list:
-    """Node-major first-partial rows (no value rows) sorted stably by the
-    weight of the partial's variable, heaviest first: on equal weights the
-    same rows in the same order."""
-    n = len(weights)
-    return [rows[r] for r in sorted(range(len(rows)), key=lambda r: -weights[r % n])]
 
 
 def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
@@ -431,26 +426,24 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     combination of the free columns, carries it through that log and
     solves it by one back substitution (``Kernel.mix``); only the accepted
     draw is divided by D.  In positive degree the rows go in heaviest
-    partial first, node-major within a weight (``_heavy_first``): the
-    pivot columns and the reduced echelon rows depend on the row space
+    partial first, node-major within a weight (``_node_constraint_rows``):
+    the pivot columns and the reduced echelon rows depend on the row space
     only, so the order may change D but no draw divided by D.  The
-    certificate runs on the draw's primitive form, D times the draw
-    divided by the gcd of its entries, whose integers are smaller by the
-    draw's content.
+    certificate, ``checked``'s ``_degenerate``, runs on the draw's
+    primitive form, D times the draw divided by the gcd of its entries,
+    whose integers are smaller by the draw's content.
     Sing W is checked only when a draw misses a power column or none is
     accepted: the kernel's basis, solved then, tells whether every kernel
     form passes through it.
     """
-    norm = _prepare_nodes(space, nodes)
-    points = [_integral(space, p) for p in norm]
+    norm, points = _prepare_nodes(space, degree, nodes)
     monos = enumerate_monomials(space, degree)
     if not monos:
         raise NoSolution(f"no monomials of degree {_clipped(degree)}")
-    values = [_node_values(space.weights, degree, q) for q in points]
+    points = list(points)
     if norm:
-        rows = _node_constraint_rows(space.weights, degree, values)
-        constraints = lattice.IntMatrix.from_rows(
-            _heavy_first(space.weights, rows) if degree else rows)
+        constraints = lattice.IntMatrix.from_rows(_node_constraint_rows(
+            space.weights, degree, [values for _, values, _ in points]))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)
@@ -471,10 +464,7 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
             sing_w()
             continue
         g = gcd(*coeffs)
-        form = [c // g for c in coeffs]
-        poly = _poly_from_vector(monos, form)
-        jets = _jets(space.weights, degree, form)
-        if all(_is_node(poly, *jets, *node) for node in zip(points, values, norm)):
+        if not _degenerate(space.weights, degree, [c // g for c in coeffs], points):
             return NodalHypersurface(space, degree,
                                      tuple(Fraction(c, kernel.d) for c in coeffs), norm)
     sing_w()

@@ -206,6 +206,40 @@ def test_checked_names_the_first_failed_invariant():
     assert str(info.value) == f"Hessian is degenerate {at}"
 
 
+def test_checked_names_whichever_failing_node_comes_first():
+    # x0 (x1^2 + x2^2 + x3^2) + x4^3 is singular at e0 with a Hessian of
+    # rank 3, and vanishes at (1, 1, 0, 0, -1) where its x0-partial is 1
+    squares = {(1, 2, 0, 0, 0), (1, 0, 2, 0, 0), (1, 0, 0, 2, 0), (0, 0, 0, 0, 3)}
+    form = [int(e in squares) for e in enumerate_monomials(P4, 3)]
+    flat, smooth = (1, 0, 0, 0, 0), (1, 1, 0, 0, -1)
+    for nodes, message in [([flat, smooth], "Hessian is degenerate"),
+                           ([smooth, flat], "gradient does not vanish")]:
+        with pytest.raises(InvariantViolation) as info:
+            NodalHypersurface.checked(P4, 3, form, nodes)
+        assert str(info.value) == f"{message} at {tuple(map(Fraction, nodes[0]))}"
+
+
+def test_checked_stops_evaluating_at_the_first_failing_node(monkeypatch):
+    # the Segre cubic plus x0^3 is 1 or -1 at each of its ten nodes: the
+    # certificate raises at the first and evaluates no monomial at the others
+    calls = []
+    values = wps._node_values
+    monkeypatch.setattr(wps, "_node_values",
+                        lambda *args: calls.append(args[2]) or values(*args))
+    space, degree, nodes, coeffs = dsl.parse_instance(
+        (GOLDEN / "segre-cubic.hyp").read_text())
+    NodalHypersurface.checked(space, degree, coeffs, nodes)
+    assert calls == list(map(space.normalize, nodes))
+    calls.clear()
+    bad = list(coeffs)
+    bad[enumerate_monomials(space, degree).index((3, 0, 0, 0, 0))] += 1
+    with pytest.raises(InvariantViolation) as info:
+        NodalHypersurface.checked(space, degree, bad, nodes)
+    first = space.normalize(nodes[0])
+    assert str(info.value) == f"form does not vanish at {first}"
+    assert calls == [first]
+
+
 def _random_weight_preserving(space, rng):
     n = len(space.weights)
     while True:
@@ -510,7 +544,7 @@ def test_value_row_is_the_euler_combination_of_the_partial_rows(weights, degree,
     monos = brute_force_monomials(weights, degree)
     assume(monos)
     points = [tuple(q[:len(weights)]) for q in points]
-    rows = constraint_rows(weights, degree, points)
+    rows = naive_constraint_rows(monos, points, degree)
     n = len(weights)
     assert len(rows) == n * len(points)
     with_values = []
@@ -532,6 +566,14 @@ def constraint_rows(weights, degree, points):
                                  [_node_values(weights, degree, q) for q in points])
 
 
+def heavy_first(weights, rows):
+    """Node-major partial rows, n per node, reordered heaviest partial
+    first and node-major within a weight."""
+    n = len(weights)
+    return [rows[k * n + i] for w in sorted(set(weights), reverse=True)
+            for k in range(len(rows) // n) for i in range(n) if weights[i] == w]
+
+
 def _over_d(basis):
     """An integer kernel basis divided by D, each vector's last nonzero entry."""
     return [tuple(Fraction(x, next(filter(None, reversed(v)))) for x in v)
@@ -548,7 +590,9 @@ def test_constraint_rows_match_naive_assembly(weights, degree, points):
     assume(monos)
     points = [tuple(q[:len(weights)]) for q in points]
     rows = constraint_rows(weights, degree, points)
-    assert rows == naive_constraint_rows(monos, points, degree)
+    naive = naive_constraint_rows(monos, points, degree)
+    # degree 0 keeps each node's value row, node-major, ahead of its partials
+    assert rows == (heavy_first(weights, naive) if degree else naive)
     assert all(type(x) is int for row in rows for x in row)
 
 
@@ -581,7 +625,7 @@ def test_heavy_first_row_order_changes_no_draw(case, data):
     n = len(weights)
     nodes = data.draw(st.lists(st.tuples(st.just(1), *[st.integers(-3, 3)] * (n - 1)),
                                min_size=1, max_size=8, unique=True))
-    rows = constraint_rows(weights, degree, nodes)
+    rows = naive_constraint_rows(brute_force_monomials(weights, degree), nodes, degree)
     heavy = _rows_handed_to_the_nullspace(WeightedSpace(weights), degree, nodes)
     assert heavy == [rows[k * n + i] for w in sorted(set(weights), reverse=True)
                      for k in range(len(nodes)) for i in range(n) if weights[i] == w]
@@ -618,7 +662,7 @@ def test_heavy_first_rows_rewrite_fewer_rows(mu, rewrites):
     # 14 of 64 monomials with x4, 10 of them in the first 32 columns; as
     # pivots there these rows spare the dense weight-1 rows some rewrites
     nodes = _golden_sextic_nodes(mu)
-    rows = constraint_rows(P11123.weights, 6, nodes)
+    rows = naive_constraint_rows(enumerate_monomials(P11123, 6), nodes, 6)
     heavy = _rows_handed_to_the_nullspace(P11123, 6, nodes)
     assert (_rewrites(rows), _rewrites(heavy)) == rewrites
 
