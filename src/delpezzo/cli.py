@@ -6,6 +6,8 @@ ToolError; ``main`` alone prints either: the payload under --json, the
 first line under --quiet, every line otherwise.  Exit code 0 means success
 or a verdict, 1 a verification failure (a replay or comparison that does
 not check out), 2 an input error; a reader closing stdout early changes none.
+``_json_report`` writes --json as json.dumps(payload, indent=2, sort_keys=True),
+its tests' reference, without the pure-Python encoder ``indent`` selects.
 
 ``cli`` itself loads only ``errors``; each handler imports the modules its
 subcommand uses, so ``gate``, ``catalog``, ``degenerations`` and the builtin
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import json.encoder
 import os
 import re
 import sys
@@ -159,8 +161,7 @@ def _cmd_quiver(args) -> tuple[dict, list[str]]:
     payload = {
         "vertices": list(q.vertices),
         "dimension": report.dimension,
-        "basis": list(report.basis),
-        "cartan": [list(r) for r in report.cartan] if report.cartan else None,
+        "basis": report.basis, "cartan": report.cartan,
         "k0_rank": report.k0_rank,
     }
     dim = "infinite" if report.dimension is None else str(report.dimension)
@@ -261,6 +262,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json_report(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True); indent is the newline before x's end."""
+    if type(x) in _SCALARS:
+        return _SCALARS[type(x)](x)
+    inner = indent + "  "
+    if type(x) is dict and x and all(type(k) is str for k in x):
+        return "{" + ",".join(inner + _SCALARS[str](k) + ": " + _json_report(x[k], inner)
+                              for k in sorted(x)) + indent + "}"
+    if (type(x) is list or type(x) is tuple) and x:
+        write = len(kinds := set(map(type, x))) == 1 and _SCALARS.get(kinds.pop())
+        items = map(write, x) if write else (_json_report(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", indent)   # no raw newline in JSON
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     code, out = 0, sys.stdout
@@ -273,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(exc, "audit", None) is not None:
             lines.append(exc.audit.text().rstrip("\n"))
     if args.json:
-        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        lines = [_json_report(payload)]
     elif args.quiet:
         lines = lines[:1]
     try:

@@ -49,8 +49,11 @@ class Quiver:
 
     @classmethod
     def build(cls, vertices, arrows, relations=()) -> "Quiver":
-        return cls(tuple(str(v) for v in vertices),
-                   tuple((str(s), str(t), str(n)) for s, t, n in arrows),
+        # tuple() of a list, not of a generator: CPython starts the latter at
+        # 10 slots and shrinks it, filling the free lists of tuples of other
+        # sizes, which only a full garbage collection empties
+        return cls(tuple([str(v) for v in vertices]),
+                   tuple([(str(s), str(t), str(n)) for s, t, n in arrows]),
                    frozenset(tuple(w) for w in relations))
 
 
@@ -194,9 +197,9 @@ def path_basis(q: Quiver) -> PathAlgebraReport:
         cartan[index[source]][index[target]] += 1
     return PathAlgebraReport(
         dimension=len(basis),
-        basis=tuple(".".join(word) if word else f"e_{source}"
-                    for source, word, _ in basis),
-        cartan=tuple(tuple(row) for row in cartan),
+        basis=tuple([".".join(word) if word else f"e_{source}"
+                     for source, word, _ in basis]),
+        cartan=tuple([tuple(row) for row in cartan]),
         k0_rank=k0_rank(q),
     )
 

@@ -159,6 +159,11 @@ def _clipped(n: int) -> str:
     return clip(str(Decimal(n)), TOKEN_ECHO)
 
 
+def _at(p: Point) -> str:
+    """A node for a message, (c0:c1:...) cut after NAME_ECHO characters."""
+    return clip("(" + ":".join(map(str, p)) + ")", NAME_ECHO)
+
+
 def _on(weights: tuple[int, ...], degree: int) -> str:
     """'<degree> on P<weights>' for a message, each part clipped."""
     return f"{_clipped(degree)} on {clip(f'P{weights}', NAME_ECHO)}"
@@ -321,10 +326,9 @@ def _degenerate(weights: tuple[int, ...], degree: int, form, points) -> Point | 
     gradient, second = _jets(weights, degree, form)
     for q, values, p in points:
         if poly_eval(poly, q) != 0:
-            raise InvariantViolation(f"form does not vanish at {clip(str(p), NAME_ECHO)}")
+            raise InvariantViolation(f"form does not vanish at {_at(p)}")
         if any(sum(map(mul, vector, values[s])) for s, vector in gradient):
-            raise InvariantViolation(
-                f"gradient does not vanish at {clip(str(p), NAME_ECHO)}")
+            raise InvariantViolation(f"gradient does not vanish at {_at(p)}")
         if hessian_rank(second, q, values) != len(q) - 1:
             return p
 
@@ -371,7 +375,7 @@ class NodalHypersurface:
         if not any(form):
             raise InvariantViolation("the zero form is not a hypersurface")
         if p := _degenerate(ambient.weights, degree, form, points):
-            raise InvariantViolation(f"Hessian is degenerate at {clip(str(p), NAME_ECHO)}")
+            raise InvariantViolation(f"Hessian is degenerate at {_at(p)}")
         if fault := _ambient_fault(ambient, degree, form):
             raise fault
         return hyp

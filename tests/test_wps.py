@@ -190,7 +190,7 @@ def test_checked_constructor_validates():
 def test_checked_names_the_first_failed_invariant():
     hyp = build_nodal_hypersurface(P4, 3, [E4])
     monos = hyp.monomials()
-    at = f"at ({'Fraction(0, 1), ' * 4}Fraction(1, 1))"
+    at = "at (0:0:0:0:1)"
     # x4^3 is 1 at E4; x0 x4^2 vanishes there but its x0-partial does not;
     # x0^3 vanishes to order 3, so its Hessian is zero
     for bump, message in [((0, 0, 0, 0, 3), f"form does not vanish {at}"),
@@ -216,7 +216,14 @@ def test_checked_names_whichever_failing_node_comes_first():
                            ([smooth, flat], "gradient does not vanish")]:
         with pytest.raises(InvariantViolation) as info:
             NodalHypersurface.checked(P4, 3, form, nodes)
-        assert str(info.value) == f"{message} at {tuple(map(Fraction, nodes[0]))}"
+        assert str(info.value) == f"{message} at ({':'.join(map(str, nodes[0]))})"
+
+
+def test_a_failing_node_is_named_by_its_normalized_coordinates():
+    cube = [int(e == (0, 3, 0, 0, 0)) for e in enumerate_monomials(P4, 3)]
+    with pytest.raises(InvariantViolation) as info:
+        NodalHypersurface.checked(P4, 3, cube, [(2, 1, 0, 0, 0)])
+    assert str(info.value) == "form does not vanish at (1:1/2:0:0:0)"
 
 
 def test_checked_stops_evaluating_at_the_first_failing_node(monkeypatch):
@@ -236,7 +243,7 @@ def test_checked_stops_evaluating_at_the_first_failing_node(monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         NodalHypersurface.checked(space, degree, bad, nodes)
     first = space.normalize(nodes[0])
-    assert str(info.value) == f"form does not vanish at {first}"
+    assert str(info.value) == f"form does not vanish at ({':'.join(map(str, first))})"
     assert calls == [first]
 
 
