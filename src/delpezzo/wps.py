@@ -38,7 +38,8 @@ monomial a step down: a node's value of it is q_i times one of degree
 s - w_i wherever the table has that degree.  So a form's partials are dense
 vectors read off the pairs, a node's monomial values one list per degree,
 each partial at a node one dot product and one constraint row, and the
-Hessian minor int rows for ``lattice``'s forward pass; ``checked`` and the
+Hessian minor int rows, of rank 4 on a fourfold when the determinant is
+nonzero and else ranked by ``lattice``'s forward pass; ``checked`` and the
 builder's draws run one certificate (``_degenerate``).  The builder
 takes dim W + 1 constraint rows per node, one per first partial: in positive
 degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
@@ -55,10 +56,12 @@ A weight-preserving change of coordinates A is block diagonal by weight,
 so it commutes with D_t = diag(t**w_i), and f(D_t.y) = t**deg f(y).
 Scaling the weight-w block of A by t**w, for t the lcm of A's denominators,
 gives an integer matrix B = D_t.A with f(A x) = f(B x) / t**deg; the
-substitution is expanded over the integers and divided back once.  The
-inverse is cleared the same way, and since a block-scaled matrix moves a
-point only by a weighted rescaling, the nodes' images are computed from
-their integer representatives.
+substitution is expanded over the integers and divided back once.  Its
+monomials are keyed by one int, sum_i e_i (deg + 1)**i, so a product adds
+keys; no exponent passes deg, so no digit carries.  The inverse is
+cleared the same way, and since a block-scaled matrix moves a point only
+by a weighted rescaling, the nodes' images are computed from their
+integer representatives.
 """
 
 from __future__ import annotations
@@ -284,13 +287,21 @@ def _ambient_fault(space: WeightedSpace, degree: int, form):
                 f"the hypersurface passes through e{i} = ({e}), a singular point "
                 f"of {clip(f'P{space.weights}', NAME_ECHO)}")
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
+def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of forms keyed by packed exponents (``apply_linear_change``)."""
+    out: dict[int, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
+
+def _det4(rows) -> int:
+    """A 4 x 4 determinant by Laplace expansion along the first two rows."""
+    (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
+    return ((a * f - b * e) * (k * p - l * o) - (a * g - c * e) * (j * p - l * n)
+            + (a * h - d * e) * (j * o - k * n) + (b * g - c * f) * (i * p - l * m)
+            - (b * h - d * f) * (i * o - k * m) + (c * h - d * g) * (i * n - j * m))
 
 
 def hessian_rank(second, point, values) -> int:
@@ -301,8 +312,9 @@ def hessian_rank(second, point, values) -> int:
     so the row and column of a nonvanishing x_j depend on the others: the
     minor without the first one has the full rank.  Rescaling the point by
     t multiplies entry (a, b) by t**(deg - w_a - w_b), so any representative
-    gives the same rank.  The minor's fresh integer rows go straight to
-    ``lattice``'s forward pass; rational rows are cleared of denominators first."""
+    gives the same rank.  Rational rows are cleared of denominators first.
+    A 4 x 4 minor with a nonzero determinant (``_det4``) has rank 4; any
+    other minor goes to ``lattice``'s forward pass as built."""
     j = next((i for i, c in enumerate(point) if c), None)
     if j is None:
         raise InvalidNode("the zero tuple is not a point")
@@ -314,6 +326,8 @@ def hessian_rank(second, point, values) -> int:
             rows[r][c] = rows[c][r] = sum(map(mul, vector, values[s]))
     if type(sum(map(sum, rows))) is not int:   # a Fraction entry
         rows = lattice.from_rational_rows(rows).to_rows()
+    if len(rows) == 4 and _det4(rows):
+        return 4
     return len(lattice._forward(rows)[1])
 
 
@@ -534,10 +548,10 @@ def apply_linear_change(x: NodalHypersurface,
     B = D_t.A integral (t the lcm of A's denominators, D_t scaling the
     weight-w block by t**w, which commutes with A), f(D_t.y) = t**deg f(y)
     gives g = F(B x) / (s t**deg): the powers of the forms (B x)_i are built
-    once, the products expanded over the integers and each coefficient
-    divided back once.  A node p moves to C.q for q its integer
-    representative and C = D_u.A^-1 integral, a weighted rescaling of
-    A^-1.p that normalizes to the same chart point.
+    once, the products expanded over the integers on packed exponents and
+    each coefficient divided back once.  A node p moves to C.q for q its
+    integer representative and C = D_u.A^-1 integral, a weighted rescaling
+    of A^-1.p that normalizes to the same chart point.
     """
     weights = x.ambient.weights
     n = len(weights)
@@ -556,14 +570,14 @@ def apply_linear_change(x: NodalHypersurface,
     s = lcm(*(c.denominator for c in x.coefficients))
     terms = [(e, c.numerator * (s // c.denominator))
              for e, c in zip(monos, x.coefficients) if c != 0]
-    powers: list[list[Poly]] = []
+    places = [(x.degree + 1) ** i for i in range(n)]   # the packed key of x_i
+    powers: list[list[dict[int, int]]] = []
     for i, row in enumerate(forward):
-        form = {tuple(int(k == j) for k in range(n)): v
-                for j, v in enumerate(row) if v}
-        powers.append([{(0,) * n: 1}])
+        form = {places[j]: v for j, v in enumerate(row) if v}
+        powers.append([{0: 1}])
         for _ in range(max((e[i] for e, _ in terms), default=0)):
             powers[i].append(_poly_mul(powers[i][-1], form))
-    image: Poly = {}
+    image: dict[int, int] = {}
     for e, c in terms:
         term = powers[0][e[0]]
         for i in range(1, n):
@@ -572,7 +586,7 @@ def apply_linear_change(x: NodalHypersurface,
         for m, v in term.items():
             image[m] = image.get(m, 0) + c * v
     den = s * t ** x.degree
-    index = {m: k for k, m in enumerate(monos)}
+    index = {sum(map(mul, m, places)): k for k, m in enumerate(monos)}
     coeffs = [Fraction(0)] * len(monos)
     for m, v in image.items():
         coeffs[index[m]] = Fraction(v, den)

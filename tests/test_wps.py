@@ -16,13 +16,14 @@ from delpezzo.errors import (DegreeTooLarge, InvalidNode, InvariantViolation,
                              NegativeLDegree, NodalityFailed, NodeAtAmbientSingularity,
                              NoSolution, ToolError, UnsupportedChart)
 from delpezzo.lattice import IntMatrix, rational_nullspace
-from delpezzo.wps import (NodalHypersurface, WeightedSpace, _jets, _monomials,
+from delpezzo.wps import (NodalHypersurface, WeightedSpace, _det4, _jets, _monomials,
                           _node_constraint_rows, _node_values, adjoint_degree,
                           apply_linear_change, build_nodal_hypersurface, defect,
                           enumerate_monomials, hessian_rank, poly_eval, poly_partial)
 from oracles import (brute_force_monomials, chart_hessian_rank, chart_normalize,
-                     fraction_build, fraction_defect, fraction_linear_change,
-                     fraction_nullspace, naive_constraint_rows, weighted_hessian_rank)
+                     det_int, fraction_build, fraction_defect, fraction_linear_change,
+                     fraction_nullspace, fraction_rank, naive_constraint_rows,
+                     weighted_hessian_rank)
 
 P4 = WeightedSpace((1, 1, 1, 1, 1))
 P11112 = WeightedSpace((1, 1, 1, 1, 2))
@@ -791,6 +792,60 @@ def test_hessian_rank_rejects_the_zero_tuple():
     assert exc.value.code == 16
 
 
+big_ints = st.integers(-2 ** 150, 2 ** 150) | st.integers(-3, 3)
+
+
+@st.composite
+def planted_rank_4x4(draw):
+    """sum_k c_k u_k v_k^T over 0 to 4 terms, so rank at most the term
+    count; v_k = u_k for a symmetric matrix.  Entries reach about 300 bits."""
+    symmetric, terms = draw(st.booleans()), draw(st.integers(0, 4))
+    rows = [[0] * 4 for _ in range(4)]
+    for _ in range(terms):
+        u = draw(st.lists(big_ints, min_size=4, max_size=4))
+        v = u if symmetric else draw(st.lists(big_ints, min_size=4, max_size=4))
+        c = draw(st.integers(1, 9) | st.integers(-9, -1))
+        for a in range(4):
+            for b in range(4):
+                rows[a][b] += c * u[a] * v[b]
+    return rows, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_rank_4x4())
+def test_det4_is_nonzero_exactly_at_full_rank(case):
+    rows, terms = case
+    rank = fraction_rank(rows)
+    assert rank <= terms
+    assert _det4(rows) == det_int(rows)
+    assert bool(_det4(rows)) == (rank == 4)
+
+
+def test_a_full_fourfold_minor_never_reaches_the_forward_pass():
+    text = (GOLDEN / "segre-cubic.hyp").read_text()
+    space, degree, nodes, coeffs = dsl.parse_instance(text)
+    with mock.patch.object(lattice, "_forward", side_effect=AssertionError):
+        hyp = NodalHypersurface.checked(space, degree, coeffs, nodes)
+        # its rational representative takes the route once cleared
+        _, second = _jets(space.weights, degree, hyp.coefficients)
+        p = tuple(c / 2 for c in hyp.nodes[0])
+        assert hessian_rank(second, p, _node_values(space.weights, degree, p)) == 4
+
+
+def test_a_singular_or_smaller_minor_goes_to_the_forward_pass():
+    # x0 (x1^2 + x2^2 + x3^2) is nodal only in three directions at e0;
+    # x0 x1^2 + x2^3 on P^2 has a 2 x 2 minor of rank 1 there
+    for weights, form in [((1,) * 5, {(1, 2, 0, 0, 0): 1, (1, 0, 2, 0, 0): 1,
+                                      (1, 0, 0, 2, 0): 1}),
+                          ((1, 1, 1), {(1, 2, 0): 1, (0, 0, 3): 1})]:
+        e0 = tuple(int(i == 0) for i in range(len(weights)))
+        _, second = _jets(weights, 3, [form.get(e, 0) for e in _monomials(weights, 3)])
+        with mock.patch.object(lattice, "_forward", wraps=lattice._forward) as forward:
+            rank = hessian_rank(second, e0, _node_values(weights, 3, e0))
+        assert rank == weighted_hessian_rank(form, e0) == len(weights) - 2
+        assert forward.call_count == 1
+
+
 def assert_hessian_rank_needs_no_chart(hyp):
     """At every node, hessian_rank has the rank of the full weighted Hessian,
     dim W, and so does the minor without any nonvanishing coordinate."""
@@ -876,3 +931,43 @@ def test_linear_change_matches_fraction_reference(case, data):
     assert report == defect(hyp)
     assert (report.mu, report.h0_L, report.eval_rank, report.delta) == \
         fraction_defect(space.weights, degree, expected[1])
+
+
+@st.composite
+def high_degree_forms(draw):
+    """A form of degree up to 12 on P^1, P^2 or P(1,1,2), with no nodes
+    (random coefficients) or with one node the builder certified."""
+    weights = draw(st.sampled_from([(1, 1), (1, 1, 1), (1, 1, 2)]))
+    space = WeightedSpace(weights)
+    # a form of odd degree on P(1,1,2) passes through its singular point
+    degree = draw(st.integers(1, 6)) * 2 if weights[-1] == 2 else draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        node = (1, *draw(st.lists(small_fractions, min_size=len(weights) - 1,
+                                  max_size=len(weights) - 1)))
+        try:
+            return build_nodal_hypersurface(space, degree, [node],
+                                            seed=draw(st.integers(0, 3)))
+        except ToolError:
+            assume(False)
+    size = len(enumerate_monomials(space, degree))
+    coeffs = draw(st.lists(small_fractions, min_size=size, max_size=size))
+    try:
+        return NodalHypersurface.checked(space, degree, coeffs, [])
+    except ToolError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(high_degree_forms(), st.data())
+def test_high_degree_linear_change_matches_fraction_reference(hyp, data):
+    # x_i**degree puts exponent degree in one digit of the packed key
+    weights = hyp.ambient.weights
+    matrix = data.draw(weight_preserving_matrices(weights))
+    expected = fraction_linear_change(weights, hyp.degree, hyp.coefficients,
+                                      hyp.nodes, matrix)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError):
+            apply_linear_change(hyp, matrix)
+        return
+    moved = apply_linear_change(hyp, matrix)
+    assert (moved.coefficients, moved.nodes) == expected
