@@ -10,8 +10,8 @@ not check out), 2 an input error; a reader closing stdout early changes none.
 its tests' reference, without the pure-Python encoder ``indent`` selects.
 
 ``cli`` itself loads only ``errors``; each handler imports the modules its
-subcommand uses, so ``gate``, ``catalog``, ``degenerations`` and the builtin
-quivers load neither ``wps`` nor ``mutations``.  The module ``__getattr__``
+subcommand uses, so only ``defect`` loads ``wps`` and only ``replay``
+loads ``mutations``.  The module ``__getattr__``
 keeps ``cli.replay`` (``mutations.replay``) for perfbench's tests, which pin
 it; the alias goes once ROADMAP item 4 drops that pin.
 """
@@ -166,7 +166,8 @@ def _cmd_quiver(args) -> tuple[dict, list[str]]:
     }
     dim = "infinite" if report.dimension is None else str(report.dimension)
     lines = [f"path algebra dimension: {dim}", f"k0 rank: {report.k0_rank}"]
-    if report.dimension is not None:
+    # main prints no line under --json and only the first under --quiet
+    if report.dimension is not None and not (args.json or args.quiet):
         lines.append("basis: " + ", ".join(report.basis))
         lines.append("cartan: " + "; ".join(
             " ".join(str(x) for x in row) for row in report.cartan))

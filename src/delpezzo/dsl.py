@@ -17,7 +17,9 @@ whose expect line writes a class in h and D renders in {h, D} at its
 degree, any other in {H, E}.  Parse errors report line and column; a
 header degree other than 4, 5 or 6 is an OutOfRangeDegree naming the
 header line, and an {h, D} literal at a degree without registered
-relations is a NoRelationsForDegree naming its line and column.
+relations is a NoRelationsForDegree naming its line and column.  Only
+the script and rule readers import ``mutations``, so instances, quivers
+and intersection expressions parse without loading it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from typing import TYPE_CHECKING
 from .errors import (NAME_ECHO, InstanceFormatError, NoRelationsForDegree,
                      OutOfRangeDegree, ScriptSyntaxError, echo)
 from .intersection import BlowupGeometry, DivisorClass, from_hd, he
-from .mutations import RULES, SLOT, MutationRule, ReplayScript
 from .sod import (Decomposition, Opaque, SodNode, TwistedStructureSheaf,
                   decomposition_text)
 
 if TYPE_CHECKING:
+    from .mutations import MutationRule, ReplayScript
     from .quivers import Quiver
     from .wps import NodalHypersurface
 
@@ -175,6 +177,7 @@ _INT_SLOTS = {"position": "a position", "direction": "a direction in 1..3",
 
 def _parse_rule(rule_id: str, ln: _Line) -> MutationRule:
     """Read the rest of a rule line along the rule's grammar template."""
+    from .mutations import RULES, SLOT, MutationRule
     fields: dict[str, int | str] = {}
     for word in RULES[rule_id][0].split()[1:]:
         slots = SLOT.findall(word)
@@ -204,6 +207,7 @@ def _parse_rule(rule_id: str, ln: _Line) -> MutationRule:
 
 def parse_script(text: str, name: str = "script") -> ReplayScript:
     """Parse a mutation script; the first error reports line and column."""
+    from .mutations import RULES, ReplayScript
     lines = [_Line(i, _strip_comment(raw))
              for i, raw in enumerate(text.splitlines(), start=1)]
     lines = [ln for ln in lines if ln.tokens]
@@ -320,7 +324,7 @@ def parse_instance(text: str):
         if key != "node":
             seen.add(key)
         if key == "weights":
-            weights = tuple(_parse_int(w, lineno) for w in rest)
+            weights = tuple([_parse_int(w, lineno) for w in rest])
             try:
                 space = WeightedSpace(weights)
             except ValueError as exc:
@@ -332,7 +336,7 @@ def parse_instance(text: str):
             if degree < 0:
                 raise InstanceFormatError(f"line {lineno}: degree must be nonnegative")
         elif key == "node":
-            nodes.append(tuple(_parse_fraction(t, lineno) for t in rest))
+            nodes.append(tuple([_parse_fraction(t, lineno) for t in rest]))
         elif key == "coeffs":
             coeffs = [_parse_fraction(t, lineno) for t in rest]
         else:
@@ -364,7 +368,7 @@ def parse_quiver(text: str) -> Quiver:
     names and arrow endpoints that no 'vertices' line declares are format
     errors naming their line."""
     from .quivers import Quiver
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}   # a dict keeps the order and tests membership in O(1)
     arrows: list[tuple[str, str, str]] = []
     arrow_lines: dict[str, int] = {}
     relations: list[tuple[str, ...]] = []
@@ -378,7 +382,7 @@ def parse_quiver(text: str) -> Quiver:
                 if v in vertices:
                     raise InstanceFormatError(
                         f"line {lineno}: duplicate vertex {echo(v)}")
-                vertices.append(v)
+                vertices[v] = None
         elif key == "arrow":
             if len(rest) != 3:
                 raise InstanceFormatError(

@@ -41,10 +41,11 @@ class Quiver:
         names = [a[2] for a in self.arrows]
         if len(set(names)) != len(names):
             raise ValueError("arrow names must be unique")
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = set(self.vertices)
+        if len(vertices) != len(self.vertices):
             raise ValueError("vertex ids must be unique")
         for s, t, _ in self.arrows:
-            if s not in self.vertices or t not in self.vertices:
+            if s not in vertices or t not in vertices:
                 raise ValueError("arrow endpoint is not a vertex")
 
     @classmethod
@@ -87,12 +88,8 @@ State = tuple[str, tuple[str, ...]]  # (vertex, last m arrow names)
 Move = tuple[str, State]               # (arrow name, next state)
 
 
-def _arrow_map(q: Quiver) -> dict[str, Arrow]:
-    return {name: (s, t, name) for s, t, name in q.arrows}
-
-
 def _check_relations(q: Quiver) -> None:
-    arrows = _arrow_map(q)
+    arrows = {name: (s, t) for s, t, name in q.arrows}
     for word in q.relations:
         if not word:
             raise MalformedRelation("empty relation word")
@@ -114,6 +111,9 @@ def _automaton(q: Quiver) -> tuple[dict[State, list[Move]], int] | None:
     """Moves of the reachable forbidden-factor automaton and its number of
     walks from the (vertex, ()) starts, or None when a cycle is reachable.
 
+    Moves are in arrow-name order.  A move by arrow x looks up the relations
+    ending in x, and is refused when the recent arrows end with one minus x.
+
     States are discovered by an iterative three-colour depth-first search
     from every (vertex, ()) start (unseen: not in the table; grey: in the
     table, no walk count yet; black: finished).  Meeting a grey state
@@ -121,19 +121,24 @@ def _automaton(q: Quiver) -> tuple[dict[State, list[Move]], int] | None:
     walk count is one plus theirs.  The search keeps its own stack, so deep
     automata do not reach Python's recursion limit.
     """
-    outgoing: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
-    for s, t, name in q.arrows:
-        outgoing[s].append((name, t))
-    lengths = {len(w) for w in q.relations}
-    memory = max(lengths, default=1) - 1
+    heads: dict[str, list[tuple[str, ...]]] = {}   # last arrow -> the rest of each relation
+    for word in q.relations:
+        heads.setdefault(word[-1], []).append(word[:-1])
+    outgoing: dict[str, list[tuple[str, str, list]]] = {v: [] for v in q.vertices}
+    for s, t, name in sorted(q.arrows, key=lambda a: a[2]):
+        outgoing[s].append((name, t, heads.get(name, [])))
+    memory = max(map(len, q.relations), default=1) - 1
 
     def moves_from(state: State) -> list[Move]:
         vertex, recent = state
+        k = len(recent)
         moves = []
-        for name, t in outgoing[vertex]:
-            word = recent + (name,)
-            if not any(word[-k:] in q.relations for k in lengths):
-                moves.append((name, (t, word[-memory:] if memory else ())))
+        for name, t, ends in outgoing[vertex]:
+            for head in ends:   # a start below 0 slices fewer arrows than head has
+                if recent[k - len(head):] == head:
+                    break
+            else:
+                moves.append((name, (t, (recent + (name,))[-memory:] if memory else ())))
         return moves
 
     table: dict[State, list[Move]] = {}
@@ -167,11 +172,13 @@ def path_basis(q: Quiver) -> PathAlgebraReport:
 
     A reachable cycle of the automaton pumps to arbitrarily long nonzero
     paths, so the report is infinite (dimension None) without listing any.
-    Otherwise every walk ends, and the nonzero paths are enumerated by
-    increasing length, each carrying its automaton state so that extending
-    it is a lookup in the move table.  The automaton's walk count is the
-    dimension, so more than MAX_BASIS paths are refused before any is
-    listed.  The basis is sorted by length, then word, then source vertex.
+    Otherwise every walk ends.  The automaton's walk count is the dimension,
+    so more than MAX_BASIS paths are refused before any is listed.  Paths
+    are listed by length, each with its text, source and automaton state,
+    so extending one is a lookup in the move table.  They come out ordered
+    by length, word, then source without a sort: the e_v by vertex name,
+    the arrows by name, and each longer path by extending the level before
+    in order by moves in name order; a nonempty word fixes its source.
     """
     _check_relations(q)
     automaton = _automaton(q)
@@ -181,27 +188,19 @@ def path_basis(q: Quiver) -> PathAlgebraReport:
     if size > MAX_BASIS:
         raise BasisTooLarge(f"path algebra has more than {MAX_BASIS} basis paths")
 
-    level = [(v, (), (v, ())) for v in q.vertices]
-    basis: list[tuple[str, tuple[str, ...], State]] = []
-    while level:
-        basis.extend(level)
-        level = [(source, word + (name,), nxt)
-                 for source, word, state in level
-                 for name, nxt in table[state]]
-
-    basis.sort(key=lambda p: (len(p[1]), p[1], p[0]))
     index = {v: i for i, v in enumerate(q.vertices)}
-    n = len(q.vertices)
-    cartan = [[0] * n for _ in range(n)]
-    for source, _, (target, _) in basis:
-        cartan[index[source]][index[target]] += 1
-    return PathAlgebraReport(
-        dimension=len(basis),
-        basis=tuple([".".join(word) if word else f"e_{source}"
-                     for source, word, _ in basis]),
-        cartan=tuple([tuple(row) for row in cartan]),
-        k0_rank=k0_rank(q),
-    )
+    cartan = [[int(i == j) for j in range(len(index))] for i in range(len(index))]  # the e_v
+    basis = [f"e_{v}" for v in sorted(index)]
+    # arrow names are unique, so sorting the arrows compares names only
+    level = sorted([(name, i, nxt) for v, i in index.items() for name, nxt in table[(v, ())]])
+    while level:
+        for text, source, (target, _) in level:
+            basis.append(text)
+            cartan[source][index[target]] += 1
+        level = [(f"{text}.{name}", source, nxt) for text, source, state in level
+                 for name, nxt in table[state]]
+    return PathAlgebraReport(len(basis), tuple(basis),
+                             tuple([tuple(row) for row in cartan]), k0_rank(q))
 
 
 def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:

@@ -83,20 +83,22 @@ def test_cli_replay_is_the_mutations_replay():
 
 
 GOLDEN = SRC.parent / "tests" / "golden"
-REPLAY_LAYERS = {"dsl", "mutations", "sod", "intersection"}
+PARSE_LAYERS = {"dsl", "sod", "intersection"}
+REPLAY_LAYERS = PARSE_LAYERS | {"mutations"}
 # The README's Cold start table: the modules each subcommand loads besides
 # cli and errors; a file argument names a file in tests/golden.  So the
-# verdict commands skip wps and lattice, and defect skips ktheory and catalog.
+# verdict commands skip wps and lattice, defect skips ktheory and catalog,
+# and only replay, which reads a script, loads mutations.
 LOADS = {
     "gate d=5 nodes=2": {"ktheory", "catalog", "quivers", "sod", "intersection"},
     "catalog": {"catalog", "quivers"},
     "catalog 5": {"catalog", "quivers"},
     "degenerations d=5 nodes=2": {"catalog", "quivers"},
     "quiver double-burban": {"quivers"},
-    "quiver alternating-3.quiver": {"quivers"} | REPLAY_LAYERS,
+    "quiver alternating-3.quiver": {"quivers"} | PARSE_LAYERS,
     "replay prop-Y-to-V": REPLAY_LAYERS,
-    "intersect d=5 (H-E)^3": REPLAY_LAYERS,
-    "defect segre-cubic.hyp": {"wps", "lattice"} | REPLAY_LAYERS,
+    "intersect d=5 (H-E)^3": PARSE_LAYERS,
+    "defect segre-cubic.hyp": {"wps", "lattice"} | PARSE_LAYERS,
 }
 
 

@@ -184,6 +184,65 @@ def test_path_basis_matches_oracles(q):
         assert sum(map(sum, report.cartan)) == report.dimension
 
 
+def report_order(text: str):
+    """(length, word, source) of a basis text; no arrow name here holds a
+    '.' or starts with 'e_', and a nonempty word fixes its source."""
+    if text.startswith("e_"):
+        return 0, (), text[2:]
+    word = tuple(text.split("."))
+    return len(word), word, ""
+
+
+# names whose tuple order differs from the order of their joined texts:
+# ("a", "a0") < ("a*", "a") as tuples, but "a*.a" < "a.a0" as text
+NAMES = ("a", "a*", "a0", "b", "b*", "ab")
+
+
+@st.composite
+def named_quivers(draw):
+    vertices = draw(st.lists(st.sampled_from(["1", "2", "10", "x", "x*"]),
+                             min_size=1, max_size=4, unique=True))
+    names = draw(st.permutations(NAMES))[:draw(st.integers(0, len(NAMES)))]
+    arrows = [(draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)), n)
+              for n in names]
+    relations = []
+    for _ in range(draw(st.integers(0, 4)) if arrows else 0):
+        word = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(0, 3))):
+            options = [a for a in arrows if a[0] == word[-1][1]]
+            if not options:
+                break
+            word.append(draw(st.sampled_from(options)))
+        relations.append(tuple(a[2] for a in word))
+    return Quiver.build(vertices, arrows, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomial_quivers(), named_quivers()))
+def test_path_basis_comes_in_report_order(q):
+    report = path_basis(q)
+    if report.dimension is not None:
+        assert list(report.basis) == sorted(
+            nonzero_words(q.vertices, q.arrows, q.relations), key=report_order)
+
+
+def test_length_one_relation_removes_its_arrow():
+    q = Quiver.build(["2", "1"], [("1", "2", "a0"), ("2", "1", "a*"), ("1", "1", "a")],
+                     [("a*",), ("a", "a")])
+    assert path_basis(q).basis == ("e_1", "e_2", "a", "a0", "a.a0")
+
+
+def test_relation_that_is_a_prefix_or_suffix_of_another():
+    # a.a is a prefix of a.a.b, which c.a.b shares its last arrow with
+    q = Quiver.build(["1", "2"], [("1", "1", "a"), ("1", "2", "b"), ("2", "1", "c")],
+                     [("a", "a"), ("a", "a", "b"), ("c", "a", "b"), ("b", "c", "b"),
+                      ("c", "b", "c")])
+    report = path_basis(q)
+    assert report.basis == ("e_1", "e_2", "a", "b", "c", "a.b", "b.c", "c.a", "c.b",
+                            "a.b.c", "b.c.a", "a.b.c.a")
+    assert report.cartan == ((6, 2), (2, 2))
+
+
 def _parallel_line(n: int, width: int = 4) -> Quiver:
     """A line of n vertices with `width` parallel arrows per edge."""
     return Quiver.build([str(i) for i in range(n)],
