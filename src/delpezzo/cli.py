@@ -84,9 +84,7 @@ def _cmd_defect(args) -> tuple[dict, list[str]]:
     else:
         hyp = wps.build_nodal_hypersurface(space, degree, nodes, seed=args.seed)
     report = wps.defect(hyp)
-    payload = {"weights": list(space.weights), "degree": degree,
-               "mu": report.mu, "h0_L": report.h0_L,
-               "eval_rank": report.eval_rank, "delta": report.delta}
+    payload = {"weights": list(space.weights), "degree": degree, **asdict(report)}
     return payload, [
         f"hypersurface of degree {degree} on P{space.weights}",
         f"mu = {report.mu}, h0(L) = {report.h0_L}, "
@@ -198,8 +196,7 @@ def _cmd_gate(args) -> tuple[dict, list[str]]:
     verdict = ktheory.kawamata_gate(params["d"], params["nodes"])
     payload = {"d": verdict.d, "nodes": verdict.node_count,
                "exists": verdict.exists,
-               "reasons": [{"code": r.code, "detail": r.detail}
-                           for r in verdict.reasons]}
+               "reasons": [asdict(r) for r in verdict.reasons]}
     lines = [f"d={verdict.d}, nodes={verdict.node_count}: {verdict.verdict}"]
     lines += [f"  [{r.code}] {r.detail}" for r in verdict.reasons]
     return payload, lines

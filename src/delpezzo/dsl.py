@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -109,6 +110,14 @@ def _read_node(token: str, d: int, line: int, col: int) -> tuple[SodNode, bool]:
     return TwistedStructureSheaf(head[2:], cls), hd
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(number from 1, text) of each line that still has a token once its
+    '#' comment is cut: the line grammar of scripts, instances and quivers."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        if (line := raw.split("#", 1)[0]).strip():
+            yield number, line
+
+
 class _Line:
     """Whitespace tokens of one source line with column positions."""
 
@@ -142,10 +151,6 @@ class _Line:
         tok = self.peek()
         if tok is not None:
             raise ScriptSyntaxError(self.number, tok[1], "end of line")
-
-
-def _strip_comment(text: str) -> str:
-    return text.split("#", 1)[0]
 
 
 def _parse_decomposition(ln: _Line, d: int) -> tuple[Decomposition, bool]:
@@ -208,9 +213,7 @@ def _parse_rule(rule_id: str, ln: _Line) -> MutationRule:
 def parse_script(text: str, name: str = "script") -> ReplayScript:
     """Parse a mutation script; the first error reports line and column."""
     from .mutations import RULES, ReplayScript
-    lines = [_Line(i, _strip_comment(raw))
-             for i, raw in enumerate(text.splitlines(), start=1)]
-    lines = [ln for ln in lines if ln.tokens]
+    lines = [_Line(number, line) for number, line in _lines(text)]
     if not lines:
         raise ScriptSyntaxError(1, 1, "a header line 'ambient Y d=<n>'")
     header = lines[0]
@@ -314,11 +317,8 @@ def parse_instance(text: str):
     nodes: list[tuple[Fraction, ...]] = []
     coeffs: list[Fraction] | None = None
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip_comment(raw).split()
-        if not parts:
-            continue
-        key, rest = parts[0], parts[1:]
+    for lineno, line in _lines(text):
+        key, *rest = line.split()
         if key in seen:
             raise InstanceFormatError(f"line {lineno}: duplicate {key} line")
         if key != "node":
@@ -372,11 +372,8 @@ def parse_quiver(text: str) -> Quiver:
     arrows: list[tuple[str, str, str]] = []
     arrow_lines: dict[str, int] = {}
     relations: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip_comment(raw).split()
-        if not parts:
-            continue
-        key, rest = parts[0], parts[1:]
+    for lineno, line in _lines(text):
+        key, *rest = line.split()
         if key == "vertices":
             for v in rest:
                 if v in vertices:

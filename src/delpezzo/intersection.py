@@ -47,9 +47,6 @@ class DivisorClass:
         return DivisorClass((self.coords[0] - other.coords[0],
                              self.coords[1] - other.coords[1]))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass((-self.coords[0], -self.coords[1]))
-
     def __mul__(self, n: int) -> "DivisorClass":
         return DivisorClass((self.coords[0] * n, self.coords[1] * n))
 

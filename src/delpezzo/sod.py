@@ -125,18 +125,11 @@ def vanish_text(x: SodNode, y: SodNode, provenance: str) -> str:
     return f"Vanish({node_text(x)} -> {node_text(y)}) [{provenance}]"
 
 
-@dataclass
-class _Fact:
-    x: SodNode
-    y: SodNode
-    provenance: str
-
-
 class FactStore:
-    """Append-only database of Vanish facts with provenance."""
+    """Append-only database of Vanish facts, each its (x, y, provenance)."""
 
     def __init__(self):
-        self._by_key: dict[object, _Fact] = {}
+        self._by_key: dict[object, tuple[SodNode, SodNode, str]] = {}
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -146,7 +139,7 @@ class FactStore:
         key = vanish_key(x, y)
         if key in self._by_key:
             return False
-        self._by_key[key] = _Fact(x, y, provenance)
+        self._by_key[key] = (x, y, provenance)
         return True
 
     def has(self, x: SodNode, y: SodNode) -> bool:
@@ -158,14 +151,14 @@ class FactStore:
         fact = self._by_key.get(vanish_key(x, y))
         if fact is None:
             return None
-        text = vanish_text(fact.x, fact.y, fact.provenance)
-        if fact.x != x:
+        text = vanish_text(*fact)
+        if fact[0] != x:
             return text + f" ({TWIST_CLOSURE} at {node_text(x)} -> {node_text(y)})"
         return text
 
     def dump(self) -> list[str]:
-        lines = [f"vanish {node_text(f.x)} -> {node_text(f.y)}  [{f.provenance}]"
-                 for f in self._by_key.values()]
+        lines = [f"vanish {node_text(x)} -> {node_text(y)}  [{provenance}]"
+                 for x, y, provenance in self._by_key.values()]
         return sorted(lines)
 
 

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm, prod
-from operator import add, attrgetter, mul
+from operator import add, mul
 
 from . import lattice
 from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
@@ -82,7 +82,6 @@ from .errors import (NAME_ECHO, TOKEN_ECHO, DegreeTooLarge, InvalidNode,
 Mono = tuple[int, ...]
 Point = tuple[Fraction, ...]
 Poly = dict[Mono, Fraction]   # integer coefficients in this module's own algebra
-_terms = attrgetter("numerator", "denominator")   # hashes faster than a Fraction
 
 MAX_TRIES = 64   # coefficient draws the builder makes before giving up
 MAX_MONOMIALS = 2_000   # largest monomial basis enumerate_monomials lists
@@ -396,13 +395,15 @@ class NodalHypersurface:
 
 
 def _prepare_nodes(space: WeightedSpace, degree: int, nodes):
-    """The normalized, pairwise distinct nodes p, and a lazy iterable of
-    (q, ``_node_values`` at q, p) per node for q its integer point."""
+    """The normalized nodes p, pairwise distinct by their integer points q
+    (q_j = t at p's chart coordinate j, so p is q scaled by t**-w_i), and
+    a lazy iterable of (q, ``_node_values`` at q, p) per node."""
     norm = tuple(map(space.normalize, nodes))
-    if len({tuple(map(_terms, p)) for p in norm}) != len(norm):
+    ints = [_integral(space, p) for p in norm]
+    if len(set(ints)) != len(norm):
         raise InvalidNode("nodes must be pairwise distinct")
     return norm, ((q, _node_values(space.weights, degree, q), p)
-                  for p in norm for q in [_integral(space, p)])
+                  for q, p in zip(ints, norm))
 
 
 def _node_constraint_rows(weights: tuple[int, ...], degree: int,

@@ -109,6 +109,37 @@ def test_replay_final_mismatch_exit_code(tmp_path, capsys):
     assert "FinalMismatch" in err
 
 
+@pytest.mark.parametrize("d, axiom, rule, detail", [
+    (6, "O(0), O(H)", "triangle_exchange at 1 support D direction 1",
+     "triangle_exchange (step 1): no hD relations registered for degree 6"),
+    # ruling_fiber_degree has no {h, D} at degree 6, so the oracle stays silent
+    (6, "O(H), O_D(H)", "swap at 1",
+     "swap (step 1): Vanish(O(H) -> O_D(H)) is not derivable; "
+     "the pair is not known completely orthogonal"),
+    (5, "O_D(0), O_D(H)", "fiber_rebase at 1 shift -F",
+     "fiber_rebase (step 1): a rebase class is registered only for the "
+     "line-side exceptional divisor"),
+    (5, "O_E(H), O_E(3H)", "fiber_rebase at 1 shift -F",
+     "fiber_rebase (step 1): pair twists must differ by H"),
+])
+def test_replay_refuses_a_side_condition(tmp_path, capsys, d, axiom, rule, detail):
+    bad = tmp_path / "refused.sod"
+    bad.write_text(f"ambient Y d={d}\naxiom <{axiom}>\n{rule}\nexpect <{axiom}>\n")
+    code, out, err = run(capsys, "replay", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error [SideConditionFailed/30]: {detail}\n"
+
+
+def test_replay_refuses_an_expect_line_one_node_short(tmp_path, capsys):
+    bad = tmp_path / "short.sod"
+    bad.write_text("ambient Y d=5\naxiom <O(0), O(H)>\nexpect <O(0)>\n")
+    code, out, err = run(capsys, "replay", str(bad))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[:3] == [
+        "error [FinalMismatch/33]: final decomposition differs from the expected one:",
+        "length 2 != 1", "replay short on Y5"]
+
+
 def test_replay_syntax_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "syntax.sod"
     bad.write_text("ambient Y d=5\nswap att 3\n")

@@ -201,6 +201,25 @@ def test_instance_errors():
             parse_instance(text)
 
 
+# lines 1 to 6 hold a comment, a blank line, a header with a trailing
+# comment, spaces, a comment and a header, all ended by \r\n; a reader that
+# numbered only the lines holding tokens would place line 7's fault at 3
+@pytest.mark.parametrize("parse, first, second, fault, message", [
+    (parse_script, "ambient Y d=5", "axiom <CAT(DbY)>", "  swap att 3",
+     "line 7, col 8: expected 'at'"),
+    (parse_instance, "weights 1 1 1 1 1", "degree 3", "shape 1",
+     "line 7: expected weights, degree, node or coeffs"),
+    (parse_quiver, "vertices a b", "arrow x a b", "relation  # no arrows",
+     "line 7: empty relation"),
+])
+def test_every_format_numbers_all_its_lines(parse, first, second, fault, message):
+    text = "\r\n".join(["# a comment", "", f"{first}  # a header", "   ",
+                        "# another comment", second, fault, ""])
+    with pytest.raises((ScriptSyntaxError, InstanceFormatError)) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_parse_quiver_file():
     text = """
     vertices 1 2

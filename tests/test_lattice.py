@@ -94,6 +94,18 @@ def test_from_rows_rejects_non_integers(entry):
         IntMatrix.from_rows([[entry, 2], [1, 0]])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntMatrix(-1, 0, ()), "matrix dimensions must be nonnegative"),
+    (lambda: IntMatrix(1, 2, (1,)), "entry count must equal rows * cols"),
+    (lambda: IntMatrix.from_rows([[1], [1, 2]]), "ragged rows"),
+    (lambda: invert_rational([[1, 2]]), "matrix must be square"),
+])
+def test_malformed_matrices_are_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_invert_rational_round_trip():
     rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = invert_rational(rows)

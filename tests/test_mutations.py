@@ -172,6 +172,22 @@ def test_swap_discharged_by_oracle():
     assert out.nodes == (OE(2, 0), O(1, -1))
 
 
+def test_an_unknown_rule_is_refused():
+    rule = MutationRule("bogus", 1)
+    with pytest.raises(ValueError, match="^unknown rule id 'bogus'$"):
+        rule.text()
+    with pytest.raises(SideConditionFailed) as err:
+        apply_rule(Decomposition("Y5", (O(0, 0), O(1, 0))), rule, FactStore(),
+                   BlowupGeometry(5))
+    assert (err.value.code, str(err.value)) == (30, "bogus: unknown rule")
+
+
+def test_replay_refuses_a_geometry_of_another_degree():
+    script = load_builtin_script("prop-Y-to-V")
+    with pytest.raises(ValueError, match="^script is for degree 5, geometry for 4$"):
+        replay(script, FactStore(), BlowupGeometry(4))
+
+
 def test_expansion_registry():
     assert blowup_expansion(6, "L") is not None
     assert blowup_expansion(6, "C") is None
@@ -264,6 +280,21 @@ def test_compare_rejects_permuted_tail():
     with pytest.raises(TailMismatch) as err:
         compare_and_solve(Decomposition(left.ambient, tuple(nodes)), right, 4)
     assert err.value.position == 1
+
+
+def test_compare_refuses_what_it_cannot_match():
+    head = Decomposition("Y5", (Opaque("A"), O(0, 0)))
+    with pytest.raises(ValueError, match="^ambients differ: Y5 vs Y4$"):
+        compare_and_solve(head, Decomposition("Y4", head.nodes), 5)
+    with pytest.raises(ValueError,
+                       match="^decomposition head must consist of opaque components$"):
+        compare_and_solve(head, Decomposition("Y5", (O(0, 0), Opaque("B"))), 5)
+    longer = Decomposition("Y5", (Opaque("B"), O(0, 0), O(1, 0)))
+    with pytest.raises(TailMismatch) as err:
+        compare_and_solve(head, longer, 5)
+    assert (err.value.code, err.value.position) == (34, 2)
+    assert str(err.value) == ("tail position 2: expected a tail of length 1, "
+                              "found a tail of length 2")
 
 
 # -- K-theory level soundness ---------------------------------------------------

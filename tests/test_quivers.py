@@ -96,6 +96,10 @@ def test_malformed_relations():
     q2 = Quiver.build(["1", "2"], [("1", "2", "a")], [("zz",)])
     with pytest.raises(MalformedRelation):
         path_basis(q2)
+    empty = Quiver.build(["1"], [], [()])
+    with pytest.raises(MalformedRelation) as err:
+        path_basis(empty)
+    assert (err.value.code, str(err.value)) == (40, "empty relation word")
 
 
 def test_relabeling_gives_isomorphic_report():

@@ -188,6 +188,37 @@ def test_checked_constructor_validates():
         NodalHypersurface.checked(P4, 3, bad, hyp.nodes)
 
 
+@pytest.mark.parametrize("space, degree, nodes", [
+    # x4 has weight 2, so t = -1 fixes it: one point of P(1,1,1,1,2)
+    (P11112, 4, [(1, 0, 0, 0, 1), (-1, 0, 0, 0, 1)]),
+    (P4, 3, [(1, Fraction(1, 2), 0, 0, 0), (2, 1, 0, 0, 0)]),
+])
+def test_two_representatives_of_one_point_are_refused_before_evaluation(
+        monkeypatch, space, degree, nodes):
+    monkeypatch.setattr(wps, "_node_values", mock.Mock(side_effect=AssertionError))
+    ones = [1] * len(enumerate_monomials(space, degree))
+    for make in (lambda: NodalHypersurface.checked(space, degree, ones, nodes),
+                 lambda: build_nodal_hypersurface(space, degree, nodes)):
+        with pytest.raises(InvalidNode) as info:
+            make()
+        assert str(info.value) == "nodes must be pairwise distinct"
+    wps._node_values.assert_not_called()
+
+
+def test_a_sign_on_the_weight_two_coordinate_moves_the_point(monkeypatch):
+    # t = -1 takes (1,0,0,0,1) to (-1,0,0,0,1), never to (1,0,0,0,-1); a
+    # quartic singular at both contains e4, so the octic is drawn
+    calls = []
+    values = wps._node_values
+    monkeypatch.setattr(wps, "_node_values",
+                        lambda *args: calls.append(args[2]) or values(*args))
+    nodes = [(1, 0, 0, 0, 1), (1, 0, 0, 0, -1)]
+    hyp = build_nodal_hypersurface(P11112, 8, nodes)
+    assert NodalHypersurface.checked(P11112, 8, hyp.coefficients, nodes) == hyp
+    assert calls == nodes * 2
+    assert defect(hyp).mu == 2
+
+
 def test_checked_names_the_first_failed_invariant():
     hyp = build_nodal_hypersurface(P4, 3, [E4])
     monos = hyp.monomials()
@@ -291,6 +322,20 @@ def test_linear_change_rejects_a_matrix_of_the_wrong_shape(matrix):
     hyp = build_nodal_hypersurface(P4, 3, [E4])
     with pytest.raises(ValueError, match="matrix must be 5 x 5"):
         apply_linear_change(hyp, matrix)
+
+
+def test_linear_change_refuses_a_matrix_that_mixes_weights():
+    hyp = build_nodal_hypersurface(P11112, 4, [(1, 0, 0, 0, 1)])
+    mixed = [[int(i == j or (i, j) == (0, 4)) for j in range(5)] for i in range(5)]
+    with pytest.raises(ValueError) as info:
+        apply_linear_change(hyp, mixed)
+    assert str(info.value) == "substitution must preserve weights"
+
+
+def test_a_coefficient_count_off_the_basis_is_refused():
+    with pytest.raises(ValueError) as info:
+        NodalHypersurface(P11112, 4, (Fraction(1), Fraction(2)), ())
+    assert str(info.value) == "expected 46 coefficients"
 
 
 def test_monomial_enumeration_is_bounded():
