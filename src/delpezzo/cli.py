@@ -8,6 +8,8 @@ or a verdict, 1 a verification failure (a replay or comparison that does
 not check out), 2 an input error; a reader closing stdout early changes none.
 ``_json_report`` writes --json as json.dumps(payload, indent=2, sort_keys=True),
 its tests' reference, without the pure-Python encoder ``indent`` selects.
+``main`` parses argv once, with its subcommand's parser (``_route``); help,
+usage and every error fall back to the full parser and keep its bytes.
 
 ``cli`` itself loads only ``errors``; each handler imports the modules its
 subcommand uses, so only ``defect`` loads ``wps`` and only ``replay``
@@ -24,7 +26,6 @@ import json.encoder
 import os
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import NAME_ECHO, InstanceFormatError, ToolError, UndecodableInput, clip, echo
@@ -61,30 +62,30 @@ def _parse_kv(pairs: list[str], wanted: dict[str, bool]) -> dict[str, int]:
     return out
 
 
-def _read_input(path: Path) -> str:
+def _read_input(path: str) -> str:
     """Text of an input file.  Bytes that are not UTF-8 and a path the
     system cannot read (missing, a directory, unreadable, too long) are
     input faults naming the path, cut after NAME_ECHO characters."""
-    where = clip(str(path), NAME_ECHO)
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise UndecodableInput(
-            f"{where}: byte {exc.start} is not UTF-8 text") from None
+            f"{clip(path, NAME_ECHO)}: byte {exc.start} is not UTF-8 text") from None
     except OSError as exc:
-        raise InstanceFormatError(f"{where}: {exc.strerror}") from None
+        raise InstanceFormatError(f"{clip(path, NAME_ECHO)}: {exc.strerror}") from None
 
 
 def _cmd_defect(args) -> tuple[dict, list[str]]:
     from . import dsl, wps
-    text = _read_input(Path(args.instance))
+    text = _read_input(args.instance)
     space, degree, nodes, coeffs = dsl.parse_instance(text)
     if coeffs is not None:
         hyp = wps.NodalHypersurface.checked(space, degree, coeffs, nodes)
     else:
         hyp = wps.build_nodal_hypersurface(space, degree, nodes, seed=args.seed)
     report = wps.defect(hyp)
-    payload = {"weights": list(space.weights), "degree": degree, **asdict(report)}
+    payload = {"weights": list(space.weights), "degree": degree, **vars(report)}
     return payload, [
         f"hypersurface of degree {degree} on P{space.weights}",
         f"mu = {report.mu}, h0(L) = {report.h0_L}, "
@@ -94,9 +95,8 @@ def _cmd_defect(args) -> tuple[dict, list[str]]:
 
 def _resolve_script(name: str):
     from . import dsl
-    path = Path(name)
-    if os.path.isfile(path):   # False, not an error, for a name too long
-        return dsl.parse_script(_read_input(path), name=path.stem)
+    if os.path.isfile(name):   # False, not an error, for a name too long
+        return dsl.parse_script(_read_input(name), name=Path(name).stem)
     return dsl.load_builtin_script(name)
 
 
@@ -150,7 +150,7 @@ def _cmd_quiver(args) -> tuple[dict, list[str]]:
         q = getattr(quivers, args.quiver.replace("-", "_"))()
     elif os.path.isfile(args.quiver):
         from . import dsl
-        q = dsl.parse_quiver(_read_input(Path(args.quiver)))
+        q = dsl.parse_quiver(_read_input(args.quiver))
     else:
         raise InstanceFormatError(
             f"{echo(args.quiver, NAME_ECHO)} is neither a file nor one of: "
@@ -175,7 +175,7 @@ def _cmd_quiver(args) -> tuple[dict, list[str]]:
 def _cmd_catalog(args) -> tuple[dict, list[str]]:
     from . import catalog as cat
     entries = cat.entries_for(args.d)
-    payload = {"entries": [asdict(e) for e in entries]}
+    payload = {"entries": [vars(e) for e in entries]}
     lines = []
     for e in entries:
         name = f"V{e.d}" + ("'" if e.variant == "prime" else "")
@@ -196,7 +196,7 @@ def _cmd_gate(args) -> tuple[dict, list[str]]:
     verdict = ktheory.kawamata_gate(params["d"], params["nodes"])
     payload = {"d": verdict.d, "nodes": verdict.node_count,
                "exists": verdict.exists,
-               "reasons": [asdict(r) for r in verdict.reasons]}
+               "reasons": [vars(r) for r in verdict.reasons]}
     lines = [f"d={verdict.d}, nodes={verdict.node_count}: {verdict.verdict}"]
     lines += [f"  [{r.code}] {r.detail}" for r in verdict.reasons]
     return payload, lines
@@ -257,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, options in arguments:
             p.add_argument(arg, **options)
         p.set_defaults(func=func)
+    parser.commands = sub.choices   # name -> subcommand parser, for _route
     return parser
 
 
@@ -279,8 +280,17 @@ def _json_report(x, indent: str = "\n") -> str:
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", indent)   # no raw newline in JSON
 
 
+def _route(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), by argv[0]'s parser alone if it leaves no word."""
+    if argv and (sub := build_parser().commands.get(argv[0])):
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _route(sys.argv[1:] if argv is None else argv)
     code, out = 0, sys.stdout
     try:
         payload, lines = args.func(args)

@@ -407,11 +407,12 @@ def _prepare_nodes(space: WeightedSpace, degree: int, nodes):
 
 
 def _node_constraint_rows(weights: tuple[int, ...], degree: int,
-                          values: list[dict[int, list]]) -> list[list[int]]:
+                          values: list[dict[int, list]], scaled=()) -> list[list[int]]:
     """First-partial rows of the monomials at points given by their
     ``_node_values``, heaviest partial first and node-major within a weight,
-    each written from the partial's kept (position, factor) pairs.  For
-    degree > 0 the Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts
+    each written from the partial's kept (position, factor) pairs; the rows
+    of the nodes whose indices are in ``scaled`` are divided by their content.
+    For degree > 0 the Euler identity deg * m(q) = sum_i w_i q_i d_i m(q) puts
     the value row in the span of the partial rows, so it is left out; in
     degree 0 each node gives the constant's value row, then zero partials."""
     if degree == 0:
@@ -420,11 +421,13 @@ def _node_constraint_rows(weights: tuple[int, ...], degree: int,
     width = len(_monomials(weights, degree))
     rows = []
     for w in sorted(set(weights), reverse=True):
-        for vals in values:
+        for n, vals in enumerate(values):
             for s, column in (kept[i] for i, wi in enumerate(weights) if wi == w):
                 row = [0] * width
                 for (j, k), v in zip(column, vals[s]):
                     row[j] = k * v
+                if n in scaled and (g := gcd(*row)) > 1:
+                    row = [x // g for x in row]
                 rows.append(row)
     return rows
 
@@ -437,7 +440,9 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     system on the coefficients; a seeded pseudo-random element of its
     solution space is drawn and redrawn (MAX_TRIES draws) until ``checked``
     would accept it.  The system is assembled at the nodes' integer
-    representatives, which scales each row and leaves the kernel unchanged.
+    representatives, which scales each row and leaves the kernel unchanged;
+    the rows of a node whose representative is scaled (q = t.p, t > 1) are
+    divided by their content, so the elimination does not carry t**s.
     ``lattice.rational_nullspace`` runs the forward pass on the constraint
     rows only until each row has its pivot (over every column if the rows
     are dependent) and keeps the log of its steps; the kernel is scaled to
@@ -462,7 +467,8 @@ def build_nodal_hypersurface(space: WeightedSpace, degree: int, nodes,
     points = list(points)
     if norm:
         constraints = lattice.IntMatrix.from_rows(_node_constraint_rows(
-            space.weights, degree, [values for _, values, _ in points]))
+            space.weights, degree, [values for _, values, _ in points],
+            {n for n, (q, _, p) in enumerate(points) if q != p}))
     else:
         constraints = lattice.IntMatrix(0, len(monos), ())
     kernel = lattice.rational_nullspace(constraints)

@@ -1,15 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import delpezzo
-from delpezzo.cli import _json_report, build_parser, main
+from delpezzo.cli import SUBCOMMANDS, _json_report, _route, build_parser, main
 from delpezzo.dsl import render_instance, render_script, load_builtin_script
 from delpezzo.wps import WeightedSpace, build_nodal_hypersurface
 
@@ -304,6 +308,18 @@ def test_defect_answers_a_skewed_degree_with_few_monomials(tmp_path):
     assert json.loads(proc.stderr)["error"]["name"] == "NodeAtAmbientSingularity"
 
 
+def test_defect_of_a_heavy_node_with_a_denominator(tmp_path):
+    # the node's integer point is (2, 2**999999, 2**1000000), so each constraint
+    # row carries a factor of about 2 * 10**6 bits; the builder divides it out
+    # before the elimination, whose integers would otherwise carry it
+    inst = tmp_path / "heavy.hyp"
+    inst.write_text("weights 1 1000000 1000000\ndegree 2000000\nnode 1 1/2 1\n")
+    proc = run_module("defect", str(inst), timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("hypersurface of degree 2000000 on P(1, 1000000, 1000000)\n"
+                           "mu = 1, h0(L) = 3, evaluation rank = 1, defect = 0\n")
+
+
 _NINES = "9" * 4300   # the longest integer a .hyp line can hold
 
 
@@ -483,6 +499,68 @@ def test_parser_is_shared_but_calls_are_independent(capsys):
     assert first[3][1].startswith("d=5, nodes=2:")
     assert json.loads(first[2][1])["value"] == 1
     assert not first[1][1].lstrip().startswith("{")
+
+
+def _parsed(parse, argv):
+    """The namespace fields parse(argv) returns, or the exit code and the
+    stdout and stderr text of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+_DOCUMENTED = [
+    ("defect", "x.hyp"), ("defect", "x.hyp", "--seed", "3"), ("defect", "--seed=-1", "x.hyp"),
+    ("replay", "prop-Y-to-V"), ("replay", "--quiet", "prop-Y-to-V"),
+    ("intersect", "d=5", "(H-E)^3"), ("intersect", "d=5", "(H-E)^3", "--json"),
+    ("quiver", "double-burban"), ("quiver", "double-burban", "--json", "--quiet"),
+    ("catalog",), ("catalog", "5"), ("catalog", "--json", "5"),
+    ("gate", "d=5", "nodes=2"), ("gate", "--json", "d=5", "nodes=2"),
+    ("degenerations", "d=5", "nodes=3"),
+    ("gate", "--", "d=5", "nodes=2"), ("quiver", "--", "-x"),
+    ("gate", "d=5", "nodes=2", "--js"), ("catalog", "5", "--q"),
+]
+
+
+@pytest.mark.parametrize("argv", _DOCUMENTED)
+def test_a_documented_form_is_parsed_once_by_its_subcommand_parser(argv):
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", autospec=True,
+                           side_effect=parse_known_args) as spy:
+        fields = _parsed(_route, argv)
+    assert [call.args[0] for call in spy.call_args_list] == \
+        [build_parser().commands[argv[0]]]
+    assert fields == _parsed(build_parser().parse_args, argv)
+    assert fields["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("--help",), ("gate", "-h"), ("gate", "--help"), ("defect", "-h", "x.hyp"),
+    ("bogus",), ("gat", "d=5"), ("gate",), ("defect",), ("defect", "x.hyp", "--seed", "x"),
+    ("catalog", "x"), ("catalog", "5", "6"), ("gate", "d=5", "nodes=2", "--seed", "1"),
+    ("quiver", "double-burban", "extra"), ("gate", "d=5", "--json", "nodes=2"),
+    ("--", "gate", "d=5", "nodes=2"), ("--json", "gate", "d=5", "nodes=2"),
+    ("--quiet",), ("-h", "gate"), ("gate", "--help=1"), ("gate", "-x", "d=5"),
+])
+def test_help_usage_and_errors_are_the_full_parsers(argv):
+    code, out, err = _parsed(_route, argv)
+    assert (code, out, err) == _parsed(build_parser().parse_args, argv)
+    assert (code, bool(out)) == ((0, True) if "-h" in argv or "--help" in argv else (2, False))
+    assert err.startswith("usage: delpezzo") or (code, err) == (0, "")
+
+
+_WORDS = st.sampled_from([name for name, *_ in SUBCOMMANDS]
+                         + ["--json", "--quiet", "-h", "--", "--seed", "3", "5", "x.hyp",
+                            "d=5", "nodes=2", "k=v", "extra", "-x", "--js"])
+
+
+@given(st.lists(_WORDS, max_size=6))
+@example(["gate", "d=5", "nodes=2"])
+def test_the_route_gives_what_the_full_parser_gives(argv):
+    assert _parsed(_route, argv) == _parsed(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [

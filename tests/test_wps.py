@@ -694,6 +694,37 @@ def test_heavy_first_row_order_changes_no_draw(case, data):
     assert draws[0] == draws[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(P4.weights, 3), (P11112.weights, 4), (P11123.weights, 6)]),
+       st.data())
+def test_a_scaled_node_hands_over_primitive_rows_and_changes_no_draw(case, data):
+    # a node with a denominator has the integer point q = t.p, t > 1, whose
+    # degree-s rows carry t**s; the builder divides each of its rows by the
+    # row's content and hands an integral node's rows over as written; the
+    # row space is unchanged, so each draw is the one of the oracle's rows
+    weights, degree = case
+    n, space = len(weights), WeightedSpace(weights)
+    coordinate = st.fractions(-3, 3, max_denominator=4)
+    nodes = data.draw(st.lists(st.tuples(st.just(Fraction(1)), *[coordinate] * (n - 1)),
+                               min_size=1, max_size=6, unique=True))
+    norm = [space.normalize(p) for p in nodes]
+    points = [wps._integral(space, p) for p in norm]
+    rows = naive_constraint_rows(brute_force_monomials(weights, degree), points, degree)
+
+    def handed(k, row):
+        g = gcd(*row) if any(c.denominator > 1 for c in norm[k]) else 1
+        return [x // g for x in row] if g > 1 else row
+    heavy = _rows_handed_to_the_nullspace(space, degree, nodes)
+    assert heavy == [handed(k, rows[k * n + i]) for w in sorted(set(weights), reverse=True)
+                     for k in range(len(nodes)) for i in range(n) if weights[i] == w]
+    kernels = [rational_nullspace(IntMatrix.from_rows(m)) for m in (rows, heavy)]
+    assert len(kernels[0]) == len(kernels[1])
+    c = data.draw(st.lists(st.integers(-9, 9), min_size=len(kernels[0]),
+                           max_size=len(kernels[0])))
+    draws = [[Fraction(x, k.d) for x in k.mix(c)] for k in kernels]
+    assert draws[0] == draws[1]
+
+
 BUILD_DIGESTS = json.loads((GOLDEN / "build-digests.json").read_text())
 
 
