@@ -8,8 +8,10 @@ or a verdict, 1 a verification failure (a replay or comparison that does
 not check out), 2 an input error; a reader closing stdout early changes none.
 ``_json_report`` writes --json as json.dumps(payload, indent=2, sort_keys=True),
 its tests' reference, without the pure-Python encoder ``indent`` selects.
-``main`` parses argv once, with its subcommand's parser (``_route``); help,
-usage and every error fall back to the full parser and keep its bytes.
+``_route`` answers a plain argv (a subcommand, its positional words in one
+run, each switch exact and at most once before or after it) from the forms
+``build_parser`` derives from ``SUBCOMMANDS``, with no argparse call; every
+other argv, help, usage and errors included, goes to the full parser.
 
 ``cli`` itself loads only ``errors``; each handler imports the modules its
 subcommand uses, so only ``defect`` loads ``wps`` and only ``replay``
@@ -238,26 +240,32 @@ SUBCOMMANDS = (
 )
 
 
+# the switches every subcommand takes, in the rows' (argument, keywords) form
+_COMMON = (("--json", {"action": "store_true", "help": "emit the report as JSON"}),
+           ("--quiet", {"action": "store_true",
+                        "help": "suppress everything but the verdict line"}))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     call; parse_args leaves it unchanged and returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress everything but the verdict line")
+    switches = [common.add_argument(arg, **options) for arg, options in _COMMON]
 
     parser = argparse.ArgumentParser(
         prog="delpezzo",
         description="exact computations around nodal del Pezzo threefolds")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.forms = {}   # name -> (fields, switches, positional), for _match
     for name, func, help_text, arguments in SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for arg, options in arguments:
-            p.add_argument(arg, **options)
+        actions = switches + [p.add_argument(arg, **options) for arg, options in arguments]
         p.set_defaults(func=func)
-    parser.commands = sub.choices   # name -> subcommand parser, for _route
+        positional, = (a for a in actions if not a.option_strings)   # one per row
+        parser.forms[name] = (
+            {"command": name, "func": func, **{a.dest: a.default for a in actions}},
+            {a.option_strings[0]: a for a in actions if a.option_strings}, positional)
     return parser
 
 
@@ -280,13 +288,48 @@ def _json_report(x, indent: str = "\n") -> str:
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", indent)   # no raw newline in JSON
 
 
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) if argv is a subcommand, its
+    positional words in one unbroken run, and its switches, each exact and
+    given at most once, before or after that run; None for any other argv."""
+    form = build_parser().forms.get(argv[0]) if argv else None
+    if form is None:
+        return None
+    fields, switches, positional = form
+    fields, switches, run, closed = dict(fields), dict(switches), [], False
+    words = iter(argv[1:])
+    try:
+        for word in words:
+            if not word.startswith("-"):
+                if closed:
+                    return None   # a switch split the run
+                run.append(word)
+                continue
+            action = switches.pop(word, None)   # so a repeated switch is refused
+            if action is None:
+                return None
+            closed = bool(run)
+            if action.nargs == 0:
+                fields[action.dest] = action.const
+            elif (value := next(words, "-")).startswith("-"):   # missing, or a switch
+                return None
+            else:
+                fields[action.dest] = (action.type or str)(value)
+        values = [(positional.type or str)(word) for word in run]
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None   # argparse's error message
+    nargs = positional.nargs
+    if not (len(run) == 1 or nargs == "?" and not run or nargs == "+" and run):
+        return None
+    if run:
+        fields[positional.dest] = values if nargs == "+" else values[0]
+    return argparse.Namespace(**fields)
+
+
 def _route(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), by argv[0]'s parser alone if it leaves no word."""
-    if argv and (sub := build_parser().commands.get(argv[0])):
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """build_parser().parse_args(argv), by _match where it answers."""
+    args = _match(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

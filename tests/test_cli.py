@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import delpezzo
 from delpezzo.cli import SUBCOMMANDS, _json_report, _route, build_parser, main
@@ -513,28 +513,34 @@ def _parsed(parse, argv):
 
 
 _DOCUMENTED = [
-    ("defect", "x.hyp"), ("defect", "x.hyp", "--seed", "3"), ("defect", "--seed=-1", "x.hyp"),
+    ("defect", "x.hyp"), ("defect", "x.hyp", "--seed", "3"), ("defect", "--seed", "3", "x.hyp"),
     ("replay", "prop-Y-to-V"), ("replay", "--quiet", "prop-Y-to-V"),
     ("intersect", "d=5", "(H-E)^3"), ("intersect", "d=5", "(H-E)^3", "--json"),
     ("quiver", "double-burban"), ("quiver", "double-burban", "--json", "--quiet"),
     ("catalog",), ("catalog", "5"), ("catalog", "--json", "5"),
     ("gate", "d=5", "nodes=2"), ("gate", "--json", "d=5", "nodes=2"),
     ("degenerations", "d=5", "nodes=3"),
-    ("gate", "--", "d=5", "nodes=2"), ("quiver", "--", "-x"),
+    ("defect", "--seed=-1", "x.hyp"), ("gate", "--", "d=5", "nodes=2"), ("quiver", "--", "-x"),
     ("gate", "d=5", "nodes=2", "--js"), ("catalog", "5", "--q"),
 ]
+# forms argparse alone reads: an option's '=' value, '--', an abbreviation
+_FULL_PARSER = _DOCUMENTED[-5:]
 
 
 @pytest.mark.parametrize("argv", _DOCUMENTED)
-def test_a_documented_form_is_parsed_once_by_its_subcommand_parser(argv):
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", autospec=True,
-                           side_effect=parse_known_args) as spy:
+def test_a_plain_form_is_matched_without_argparse_and_the_rest_by_the_full_parser(argv):
+    spies = [mock.patch.object(argparse.ArgumentParser, method, autospec=True,
+                               side_effect=getattr(argparse.ArgumentParser, method))
+             for method in ("parse_known_args", "parse_args")]
+    with spies[0] as parse_known_args, spies[1] as parse_args:
         fields = _parsed(_route, argv)
-    assert [call.args[0] for call in spy.call_args_list] == \
-        [build_parser().commands[argv[0]]]
     assert fields == _parsed(build_parser().parse_args, argv)
     assert fields["command"] == argv[0]
+    if argv in _FULL_PARSER:
+        assert [call.args for call in parse_args.call_args_list] == \
+            [(build_parser(), list(argv))]
+    else:
+        assert parse_known_args.call_count == parse_args.call_count == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,13 +559,43 @@ def test_help_usage_and_errors_are_the_full_parsers(argv):
 
 
 _WORDS = st.sampled_from([name for name, *_ in SUBCOMMANDS]
-                         + ["--json", "--quiet", "-h", "--", "--seed", "3", "5", "x.hyp",
-                            "d=5", "nodes=2", "k=v", "extra", "-x", "--js"])
+                         + ["--json", "--quiet", "-h", "--", "--seed", "--seed=3", "3", "5",
+                            "-1", "", "x.hyp", "d=5", "nodes=2", "k=v", "extra", "-x", "--js"])
 
 
 @given(st.lists(_WORDS, max_size=6))
 @example(["gate", "d=5", "nodes=2"])
 def test_the_route_gives_what_the_full_parser_gives(argv):
+    assert _parsed(_route, argv) == _parsed(build_parser().parse_args, argv)
+
+
+_INTS = ["5", "-1", "5_0", "\u0665", ""]   # \u0665 is the Arabic-Indic digit 5
+_RUN_WORDS = st.sampled_from(["x.hyp", "some dir/y.quiver", "double-burban", "d=5",
+                              "nodes=2", "(H-E)^3", *_INTS])
+
+
+@st.composite
+def _row_argv(draw):
+    """argv of one SUBCOMMANDS row: a run of positional words, with --json,
+    --quiet and the row's own options put before it, after it or inside it."""
+    name, _, _, arguments = draw(st.sampled_from(SUBCOMMANDS))
+    options = [["--json"], ["--quiet"]]
+    for arg, _ in arguments:
+        if arg.startswith("--"):
+            options += [[arg, n] for n in _INTS] + [[f"{arg}={n}"] for n in _INTS]
+    argv = draw(st.lists(_RUN_WORDS, max_size=3))
+    for option in draw(st.lists(st.sampled_from(options), max_size=3)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = option
+    return [name, *argv]
+
+
+@settings(max_examples=400)
+@given(_row_argv())
+@example(["gate", "d=5", "--json", "nodes=2"])
+@example(["defect", "--seed", "1", "x.hyp", "--seed", "2"])
+@example(["catalog", "--quiet", "\u0665"])
+def test_the_route_gives_what_the_full_parser_gives_on_each_rows_forms(argv):
     assert _parsed(_route, argv) == _parsed(build_parser().parse_args, argv)
 
 
