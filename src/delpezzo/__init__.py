@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _EXPORTS = {name: module for module, names in (
-    ("catalog", "DelPezzoEntry DegenerationCase enumerate_degenerations lookup "
-                "singularity_budget"),
+    ("catalog", "DelPezzoEntry DegenerationCase enumerate_degenerations lookup"),
     ("intersection", "BlowupGeometry DivisorClass canonical_class from_hd he "
                      "rewrite triple"),
     ("ktheory", "ComponentModel GateVerdict KProfile consistency_check k_minus1_total "
@@ -26,7 +25,7 @@ _EXPORTS = {name: module for module, names in (
     ("lattice", "IntMatrix rank rational_nullspace"),
     ("mutations", "AuditLog Equivalence MutationRule ReplayScript apply_rule "
                   "compare_and_solve pushforward_vanishing replay"),
-    ("quivers", "PathAlgebraReport Quiver cartan_matrix double_burban k0_rank "
+    ("quivers", "PathAlgebraReport Quiver double_burban k0_rank "
                 "path_basis single_burban"),
     ("sod", "Decomposition FactStore LineBundle Opaque SodNode TwistedStructureSheaf "
             "query_complete_orthogonality record_decomposition validate"),

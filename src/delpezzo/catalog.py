@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, OutOfRangeDegree, UnknownDegree, UnsupportedDegree
+from .errors import BudgetExceeded, UnknownDegree, UnsupportedDegree
 from .quivers import double_burban, single_burban
 
 
@@ -75,14 +75,6 @@ def entries_for(d: int | None = None) -> list[DelPezzoEntry]:
     return found
 
 
-def singularity_budget(d: int) -> tuple[int, str]:
-    """Maximal node count and singularity type note, degrees 4 to 6."""
-    if d not in (4, 5, 6):
-        raise OutOfRangeDegree(f"node budgets cover degrees 4..6, got {d}")
-    entry = lookup(d)
-    return entry.max_nodes, entry.singularity_note
-
-
 # The degree-5 pieces by node count, each (shape, Burban quiver or None): the
 # center is a chain of at most three smooth rational curves, so it carries at
 # most two nodes, and the image quadric is smooth or has one node.
@@ -107,7 +99,7 @@ def enumerate_degenerations(d: int, total_nodes: int) -> list[DegenerationCase]:
     if d != 5:
         raise UnsupportedDegree(
             "the degeneration enumerator covers degree 5 only")
-    budget, _ = singularity_budget(5)
+    budget = lookup(5).max_nodes
     if not 0 <= total_nodes <= budget:
         raise BudgetExceeded(
             f"degree-5 threefolds carry at most {budget} nodes")

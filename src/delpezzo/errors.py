@@ -130,9 +130,7 @@ class MalformedRelation(InputFault):
     code = 40
 
 
-class InfiniteDimensional(InputFault):
-    code = 41
-
+# code 41, an infinite-dimensional path algebra, is retired
 
 class BasisTooLarge(InputFault):
     """A finite path algebra whose basis exceeds ``quivers.MAX_BASIS``."""

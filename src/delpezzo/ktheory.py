@@ -124,10 +124,10 @@ def consistency_check(replayed: Decomposition, nodes_c: int,
                       nodes_q: int = 0) -> bool:
     """The summed K_{-1} rank of a replayed decomposition must equal the
     total node count of the threefold (center nodes plus image nodes).  The
-    degree is read off the ambient name, Y<d>, V<d> or W<d>."""
-    match = re.fullmatch(r"[YVW](\d+)", replayed.ambient)
+    degree is read off the ambient name, Y<d> for the blow-up Y_d."""
+    match = re.fullmatch(r"Y(\d+)", replayed.ambient)
     if match is None:
-        raise InvalidDegree(f"ambient {replayed.ambient!r} is not Y<d>, V<d> or W<d>")
+        raise InvalidDegree(f"ambient {replayed.ambient!r} is not Y<d>")
     models = standard_models(int(match.group(1)), nodes_c, nodes_q)
     return k_minus1_total(replayed, models) == nodes_c + nodes_q
 

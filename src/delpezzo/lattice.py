@@ -62,7 +62,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):

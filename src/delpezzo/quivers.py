@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisTooLarge, InfiniteDimensional, MalformedRelation, echo
+from .errors import BasisTooLarge, MalformedRelation, echo
 
 Arrow = tuple[str, str, str]  # (source, target, name)
 
@@ -202,10 +202,3 @@ def path_basis(q: Quiver) -> PathAlgebraReport:
     return PathAlgebraReport(len(basis), tuple(basis),
                              tuple([tuple(row) for row in cartan]), k0_rank(q))
 
-
-def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """Entry (i, j) counts nonzero basis paths from vertex i to vertex j."""
-    report = path_basis(q)
-    if report.dimension is None:
-        raise InfiniteDimensional("path algebra is infinite dimensional")
-    return report.cartan

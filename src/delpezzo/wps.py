@@ -39,7 +39,7 @@ s - w_i wherever the table has that degree.  So a form's partials are dense
 vectors read off the pairs, a node's monomial values one list per degree,
 each partial at a node one dot product and one constraint row, and the
 Hessian minor int rows, of rank 4 on a fourfold when the determinant is
-nonzero and else ranked by ``lattice``'s forward pass; ``checked`` and the
+nonzero and else ranked by ``lattice.rank``; ``checked`` and the
 builder's draws run one certificate (``_degenerate``).  The builder
 takes dim W + 1 constraint rows per node, one per first partial: in positive
 degree the Euler identity deg.f = sum_i w_i x_i f_i makes the value vanish
@@ -311,9 +311,9 @@ def hessian_rank(second, point, values) -> int:
     so the row and column of a nonvanishing x_j depend on the others: the
     minor without the first one has the full rank.  Rescaling the point by
     t multiplies entry (a, b) by t**(deg - w_a - w_b), so any representative
-    gives the same rank.  Rational rows are cleared of denominators first.
-    A 4 x 4 minor with a nonzero determinant (``_det4``) has rank 4; any
-    other minor goes to ``lattice``'s forward pass as built."""
+    gives the same rank.  A 4 x 4 minor with a nonzero determinant
+    (``_det4``, exact on Fraction rows too) has rank 4; any other minor is
+    ranked by ``lattice.rank``, its rows cleared of denominators first."""
     j = next((i for i, c in enumerate(point) if c), None)
     if j is None:
         raise InvalidNode("the zero tuple is not a point")
@@ -323,11 +323,9 @@ def hessian_rank(second, point, values) -> int:
         for c in range(r, len(others)):
             s, vector = second[a, others[c]]
             rows[r][c] = rows[c][r] = sum(map(mul, vector, values[s]))
-    if type(sum(map(sum, rows))) is not int:   # a Fraction entry
-        rows = lattice.from_rational_rows(rows).to_rows()
     if len(rows) == 4 and _det4(rows):
         return 4
-    return len(lattice._forward(rows)[1])
+    return lattice.rank(lattice.from_rational_rows(rows))
 
 
 def _degenerate(weights: tuple[int, ...], degree: int, form, points) -> Point | None:

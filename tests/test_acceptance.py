@@ -8,15 +8,14 @@ import random
 
 import pytest
 
-from delpezzo.catalog import enumerate_degenerations, singularity_budget
+from delpezzo.catalog import enumerate_degenerations, lookup
 from delpezzo.dsl import builtin_script_names, load_builtin_script
 from delpezzo.errors import FinalMismatch, SideConditionFailed
 from delpezzo.intersection import (BlowupGeometry, E, H, canonical_class,
                                    from_hd, rewrite, triple)
 from delpezzo.ktheory import k_minus1_total, kawamata_gate, standard_models
 from delpezzo.mutations import compare_and_solve, replay
-from delpezzo.quivers import (cartan_matrix, double_burban, path_basis,
-                              single_burban)
+from delpezzo.quivers import double_burban, path_basis, single_burban
 from delpezzo.sod import FactStore, Opaque, TwistedStructureSheaf
 from delpezzo.wps import (WeightedSpace, build_nodal_hypersurface, defect,
                           enumerate_monomials)
@@ -129,7 +128,7 @@ def test_criterion_6_burban_dimensions():
         report = path_basis(q)
         assert report.dimension == dim
         assert transfer_dimension(q.vertices, q.arrows, q.relations) == dim
-        assert cartan_matrix(q) == tuple((1,) * size for _ in range(size))
+        assert report.cartan == tuple((1,) * size for _ in range(size))
     _report(6, "dimensions 4 and 9 by two independent enumerations; "
             "all-ones Cartan matrices of sizes 2 and 3")
 
@@ -159,7 +158,7 @@ def test_criterion_7_k_theory_invariance():
 def test_criterion_8_gate_table_and_degenerations():
     checked = 0
     for d in (1, 2, 3, 4, 5, 6):
-        budget = singularity_budget(d)[0] if d >= 4 else 6
+        budget = lookup(d).max_nodes if d >= 4 else 6
         for nu in range(1, budget + 1):
             verdict = kawamata_gate(d, nu)
             assert verdict.exists == (d in (5, 6))

@@ -1,9 +1,8 @@
 import pytest
 
 from delpezzo.catalog import (CENTER_PIECES, QUADRIC_PIECES, enumerate_degenerations,
-                              entries_for, lookup, singularity_budget)
-from delpezzo.errors import (BudgetExceeded, OutOfRangeDegree, UnknownDegree,
-                             UnsupportedDegree)
+                              entries_for, lookup)
+from delpezzo.errors import BudgetExceeded, UnknownDegree, UnsupportedDegree
 
 
 def test_lookup_quintic():
@@ -48,11 +47,8 @@ def test_entries_exist_for_all_degrees():
 
 
 def test_singularity_budget():
-    assert singularity_budget(4) == (6, "only cA_n")
-    assert singularity_budget(5) == (3, "only nodal")
-    assert singularity_budget(6) == (1, "only nodal")
-    with pytest.raises(OutOfRangeDegree):
-        singularity_budget(3)
+    budgets = {d: (lookup(d).max_nodes, lookup(d).singularity_note) for d in (4, 5, 6)}
+    assert budgets == {4: (6, "only cA_n"), 5: (3, "only nodal"), 6: (1, "only nodal")}
 
 
 def test_degree_five_node_budget_is_the_piece_tables():

@@ -101,7 +101,8 @@ def test_consistency_check_detects_dropped_component():
 
 
 @pytest.mark.parametrize("ambient, error", [
-    ("Y", InvalidDegree), ("X5", InvalidDegree), ("Y7", UnsupportedDegree)])
+    ("Y", InvalidDegree), ("X5", InvalidDegree), ("V5", InvalidDegree),
+    ("W5", InvalidDegree), ("Y7", UnsupportedDegree)])
 def test_consistency_check_needs_a_modeled_degree_in_the_ambient(ambient, error):
     with pytest.raises(error) as exc:
         consistency_check(Decomposition(ambient, ()), 1)

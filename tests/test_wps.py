@@ -847,11 +847,9 @@ def test_hessian_rank_at_singular_points_matches_the_full_hessian(weights, data)
     values = _node_values(weights, degree, q)
     assert poly_eval(poly, q) == 0
     assert not any(sum(map(mul, vector, values[s])) for s, vector in gradient)
-    # integer jets at an integer point: the rows go to the forward pass as built
-    with mock.patch.object(lattice, "from_rational_rows", side_effect=AssertionError):
-        rank = hessian_rank(second, q, values)
+    rank = hessian_rank(second, q, values)
     assert rank == weighted_hessian_rank(poly, q) == len(squares)
-    # rational jets at a rational representative are cleared first
+    # rational jets at a rational representative give the same rank
     u = data.draw(st.integers(2, 5))
     p = tuple(Fraction(v, u ** w) for v, w in zip(q, weights))
     _, thirds = _jets(weights, degree, [Fraction(v, 3) for v in form])
@@ -902,7 +900,7 @@ def test_a_full_fourfold_minor_never_reaches_the_forward_pass():
     space, degree, nodes, coeffs = dsl.parse_instance(text)
     with mock.patch.object(lattice, "_forward", side_effect=AssertionError):
         hyp = NodalHypersurface.checked(space, degree, coeffs, nodes)
-        # its rational representative takes the route once cleared
+        # so does its rational representative: _det4 is exact on Fractions
         _, second = _jets(space.weights, degree, hyp.coefficients)
         p = tuple(c / 2 for c in hyp.nodes[0])
         assert hessian_rank(second, p, _node_values(space.weights, degree, p)) == 4
